@@ -1,0 +1,10 @@
+//! Records the compiler flags the benchmark was built with, for the host
+//! block of its results.
+
+fn main() {
+    let flags = std::env::var("CARGO_ENCODED_RUSTFLAGS")
+        .unwrap_or_default()
+        .replace('\x1f', " ");
+    println!("cargo:rustc-env=TUNEBENCH_RUSTFLAGS={flags}");
+    println!("cargo:rerun-if-env-changed=CARGO_ENCODED_RUSTFLAGS");
+}
