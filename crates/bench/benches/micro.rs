@@ -124,6 +124,35 @@ fn tuner_decision_bench(c: &mut Criterion) {
             classify(&regions, &mut statuses, &[0.01, 0.01])
         })
     });
+
+    // The wide-pool shape: 5000 candidates in 3 objectives, a few
+    // hundred evaluated points among wide undecided boxes, and a mix of
+    // already-decided statuses.
+    let regions: Vec<UncertaintyRegion> = (0..5000)
+        .map(|i| {
+            let lo: Vec<f64> = (0..3).map(|_| rng.gen::<f64>()).collect();
+            if i % 16 == 0 {
+                return UncertaintyRegion::point(&lo);
+            }
+            let hi: Vec<f64> = lo.iter().map(|l| l + rng.gen::<f64>() * 0.5).collect();
+            let mut u = UncertaintyRegion::unbounded(3);
+            u.intersect(&lo, &hi);
+            u
+        })
+        .collect();
+    let initial: Vec<Status> = (0..regions.len())
+        .map(|i| match i % 10 {
+            0 => Status::Pareto,
+            1 | 2 => Status::Dropped,
+            _ => Status::Undecided,
+        })
+        .collect();
+    c.bench_function("tuner/classify_5000x3", |b| {
+        b.iter(|| {
+            let mut statuses = initial.clone();
+            classify(&regions, &mut statuses, &[0.01, 0.01, 0.01])
+        })
+    });
 }
 
 fn tuner_observability_bench(c: &mut Criterion) {

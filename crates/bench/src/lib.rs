@@ -13,6 +13,7 @@ pub mod cli;
 pub mod fleet;
 pub mod gate;
 pub mod perfrun;
+pub mod report;
 
 use benchgen::Scenario;
 use gp::optimize::FitBudget;

@@ -45,6 +45,76 @@ fn delta_leq(a: &[f64], b: &[f64], delta: &[f64]) -> bool {
     a.iter().zip(b).zip(delta).all(|((&x, &y), &d)| x <= y + d)
 }
 
+/// `true` iff `a ≤ b` componentwise (weak dominance; false on any NaN).
+fn weakly_leq(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(&x, &y)| x <= y)
+}
+
+/// Row `i` of a flat row-major `n × m` array.
+fn row(flat: &[f64], m: usize, i: usize) -> &[f64] {
+    &flat[i * m..(i + 1) * m]
+}
+
+/// A dominance cover of the rows `members` of the flat `n × m` array
+/// `points`: a subset `C` such that every member row without a NaN is
+/// weakly dominated (componentwise `<=`) by some row in `C`. Rows with a
+/// NaN are left out; they can never satisfy a `<=` test anyway.
+///
+/// Built by sorting lexicographically under IEEE total order, so a row
+/// is preceded by the rows that dominate it, and keeping each row that
+/// no kept row already dominates. The result is correct whatever the
+/// order (a row is either kept or dominated by a kept row); the sort
+/// only keeps `C` close to the non-dominated set. O(A log A + A·|C|).
+fn dominance_cover(points: &[f64], m: usize, members: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut sorted: Vec<usize> = members
+        .filter(|&j| !row(points, m, j).iter().any(|v| v.is_nan()))
+        .collect();
+    sorted.sort_by(|&a, &b| {
+        row(points, m, a)
+            .iter()
+            .zip(row(points, m, b))
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut cover: Vec<usize> = Vec::new();
+    for j in sorted {
+        let pj = row(points, m, j);
+        if !cover.iter().any(|&s| weakly_leq(row(points, m, s), pj)) {
+            cover.push(j);
+        }
+    }
+    cover
+}
+
+/// `true` iff some active candidate `j` reaches the candidate under test
+/// and is not excused: the existential of Eqs. 11 and 12. The members
+/// of `cover` are tried first; all `n` candidates are scanned only when
+/// every cover member that reaches was excused.
+///
+/// Exact when `cover` is a [`dominance_cover`] of the active candidates'
+/// rows and `reaches` holds for any row that weakly dominates a reaching
+/// row: a reaching rival then implies a reaching cover member, so no
+/// reaching cover member means no reaching rival at all.
+fn some_rival(
+    n: usize,
+    cover: &[usize],
+    active: impl Fn(usize) -> bool,
+    reaches: impl Fn(usize) -> bool,
+    excused: impl Fn(usize) -> bool,
+) -> bool {
+    let mut blocked = false;
+    for &s in cover {
+        if reaches(s) {
+            if !excused(s) {
+                return true;
+            }
+            blocked = true;
+        }
+    }
+    blocked && (0..n).any(|j| active(j) && reaches(j) && !excused(j))
+}
+
 /// Runs one decision pass over the candidates (Eqs. 11–12), in place.
 ///
 /// For every undecided candidate `x`:
@@ -61,10 +131,21 @@ fn delta_leq(a: &[f64], b: &[f64], delta: &[f64]) -> bool {
 /// candidates no longer influence decisions). Promotion is checked after
 /// dropping, as in Algorithm 1 (lines 8–9).
 ///
+/// # Cost
+///
+/// Output-sensitive rather than all-pairs. Each pass tests a candidate
+/// only against a [`dominance_cover`] of the rivals' corners: if no
+/// cover member passes the corner comparison, no rival can, because weak
+/// dominance is transitive. Only a candidate whose sole passing cover
+/// members are excused (itself, or a near-duplicate it is preferred
+/// over) falls back to the full scan over every rival. The decisions are
+/// exactly those of the all-pairs scan (`testkit::reference::classify`,
+/// pinned by a differential suite); DESIGN.md §16 gives the argument.
+///
 /// # Panics
 ///
-/// Panics when `regions`, `statuses` lengths differ or `delta` does not
-/// match the QoR dimension.
+/// Panics when `regions`, `statuses` lengths differ or a region's
+/// dimension does not match `delta`.
 pub fn classify(
     regions: &[UncertaintyRegion],
     statuses: &mut [Status],
@@ -72,11 +153,18 @@ pub fn classify(
 ) -> DecisionOutcome {
     assert_eq!(regions.len(), statuses.len(), "classify: length mismatch");
     let n = regions.len();
+    let m = delta.len();
     let mut outcome = DecisionOutcome::default();
     if n == 0 {
         return outcome;
     }
-    assert_eq!(regions[0].dim(), delta.len(), "classify: delta dimension");
+    let mut lo = Vec::with_capacity(n * m);
+    let mut hi = Vec::with_capacity(n * m);
+    for r in regions {
+        assert_eq!(r.dim(), m, "classify: delta dimension");
+        lo.extend_from_slice(r.optimistic());
+        hi.extend_from_slice(r.pessimistic());
+    }
 
     // Pass 1: dropping (Eq. 11). Compare against the statuses as of the
     // start of the pass so the result does not depend on index order.
@@ -84,51 +172,58 @@ pub fn classify(
     // the slack), only the less preferred one drops: preference is the
     // smaller pessimistic-corner sum, then the smaller index.
     let before: Vec<Status> = statuses.to_vec();
+    let sums: Vec<f64> = regions
+        .iter()
+        .map(|r| r.pessimistic().iter().sum())
+        .collect();
     let prefer = |a: usize, b: usize| -> bool {
-        let sa: f64 = regions[a].pessimistic().iter().sum();
-        let sb: f64 = regions[b].pessimistic().iter().sum();
-        match sa.partial_cmp(&sb) {
+        match sums[a].partial_cmp(&sums[b]) {
             Some(std::cmp::Ordering::Less) => true,
             Some(std::cmp::Ordering::Greater) => false,
             _ => a < b,
         }
     };
+    let cover = dominance_cover(&hi, m, (0..n).filter(|&j| before[j].is_active()));
     for i in 0..n {
         if before[i] != Status::Undecided {
             continue;
         }
-        let opt_i = regions[i].optimistic();
-        let dominated = (0..n).any(|j| {
-            j != i
-                && before[j].is_active()
-                && delta_leq(regions[j].pessimistic(), opt_i, delta)
-                && !(delta_leq(regions[i].pessimistic(), regions[j].optimistic(), delta)
-                    && prefer(i, j))
-        });
+        let opt_i = row(&lo, m, i);
+        let dominated = some_rival(
+            n,
+            &cover,
+            |j| before[j].is_active(),
+            |j| delta_leq(row(&hi, m, j), opt_i, delta),
+            |j| j == i || (delta_leq(row(&hi, m, i), row(&lo, m, j), delta) && prefer(i, j)),
+        );
         if dominated {
             statuses[i] = Status::Dropped;
             outcome.dropped.push(i);
         }
     }
 
-    // Pass 2: promotion (Eq. 12), against post-drop statuses.
+    // Pass 2: promotion (Eq. 12), against post-drop statuses. A rival
+    // `x'` might δ-dominate `x` when opt(x') + δ ≤ pess(x); the shifted
+    // optimistic corners are the keys of this pass's cover.
     let after_drop: Vec<Status> = statuses.to_vec();
+    let shifted: Vec<f64> = lo
+        .iter()
+        .zip(delta.iter().cycle())
+        .map(|(&o, &d)| o + d)
+        .collect();
+    let cover = dominance_cover(&shifted, m, (0..n).filter(|&j| after_drop[j].is_active()));
     for i in 0..n {
         if after_drop[i] != Status::Undecided {
             continue;
         }
-        let pess_i = regions[i].pessimistic();
-        let might_be_beaten = (0..n).any(|j| {
-            j != i && after_drop[j].is_active() && {
-                // x' might δ-dominate x: opt(x') + δ ≤ pess(x).
-                regions[j]
-                    .optimistic()
-                    .iter()
-                    .zip(pess_i)
-                    .zip(delta)
-                    .all(|((&oj, &pi), &d)| oj + d <= pi)
-            }
-        });
+        let pess_i = row(&hi, m, i);
+        let might_be_beaten = some_rival(
+            n,
+            &cover,
+            |j| after_drop[j].is_active(),
+            |j| weakly_leq(row(&shifted, m, j), pess_i),
+            |j| j == i,
+        );
         if !might_be_beaten {
             statuses[i] = Status::Pareto;
             outcome.promoted.push(i);
@@ -402,6 +497,97 @@ mod tests {
         let regions = vec![pt(&[1.0, 1.0]), pt(&[3.0, 3.0])];
         let mut statuses = vec![Status::Pareto, Status::Undecided];
         let out = classify(&regions, &mut statuses, &[0.0, 0.0]);
+        assert_eq!(out.dropped, vec![1]);
+    }
+
+    #[test]
+    fn narrow_box_never_drops_itself() {
+        // Width ≤ δ: the box's own pessimistic corner δ-dominates its
+        // optimistic one, and it is the only cover member that does. The
+        // incomparable rival cannot drop it, so it must stay.
+        let regions = vec![
+            boxed(&[1.0, 1.0], &[1.05, 1.05]),
+            boxed(&[0.5, 2.0], &[0.6, 3.0]),
+        ];
+        let mut statuses = vec![Status::Undecided; 2];
+        let out = classify(&regions, &mut statuses, &[0.1, 0.1]);
+        assert!(out.dropped.is_empty(), "{out:?}");
+        assert_eq!(statuses[0], Status::Pareto);
+    }
+
+    #[test]
+    fn self_covered_box_is_still_dropped_by_a_dominated_rival() {
+        // The narrow box 0 covers the wide box 1's pessimistic corner, so
+        // 0 is the only cover member — and it is excused against itself.
+        // Rival 1 still drops it: 1's worst case (1.05) is within δ of
+        // 0's best case (1.0), and 0's worst case is not within δ of 1's
+        // best case (0.5), so the near-duplicate exception does not apply.
+        let regions = vec![boxed(&[1.0], &[1.02]), boxed(&[0.5], &[1.05])];
+        let mut statuses = vec![Status::Undecided, Status::Pareto];
+        let out = classify(&regions, &mut statuses, &[0.1]);
+        assert_eq!(out.dropped, vec![0]);
+    }
+
+    #[test]
+    fn excused_cover_member_does_not_hide_a_non_cover_rival() {
+        // Cover of the pessimistic corners: {1, 0}. Member 1 δ-dominates
+        // 0 but is excused (mutual near-duplicates, 0 has the smaller
+        // sum); member 0 is excused against itself. Rival 2 sits behind
+        // member 1, outside the cover, and drops 0 outright.
+        let regions = vec![
+            pt(&[1.05, 0.9]),
+            pt(&[1.0, 1.0]),
+            boxed(&[0.5, 1.0], &[1.1, 1.0]),
+        ];
+        let mut statuses = vec![Status::Undecided, Status::Pareto, Status::Pareto];
+        let out = classify(&regions, &mut statuses, &[0.1, 0.1]);
+        assert_eq!(out.dropped, vec![0]);
+        // Without rival 2 the exception holds and 0 stays in the race.
+        let mut statuses = vec![Status::Undecided, Status::Pareto];
+        let out = classify(&regions[..2], &mut statuses, &[0.1, 0.1]);
+        assert!(out.dropped.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn self_covered_box_is_not_promoted_past_a_dominated_rival() {
+        // Box 0's optimistic corner dominates point 1's, so 0 is the only
+        // cover member of the promotion pass and the only one under its
+        // own pessimistic corner. Point 1's best case still beats 0's
+        // worst case, so 0 must stay undecided.
+        let regions = vec![boxed(&[0.0, 0.0], &[2.0, 2.0]), pt(&[1.0, 1.0])];
+        let mut statuses = vec![Status::Undecided, Status::Pareto];
+        let out = classify(&regions, &mut statuses, &[0.0, 0.0]);
+        assert!(out.promoted.is_empty() && out.dropped.is_empty(), "{out:?}");
+        assert_eq!(statuses[0], Status::Undecided);
+    }
+
+    #[test]
+    fn nan_bounds_never_drop_or_block() {
+        // Candidate 0 would dominate everything in its finite coordinate,
+        // but a NaN bound makes every comparison against it false: it
+        // neither drops nor blocks the promotion of candidate 1, and it
+        // cannot be dropped itself.
+        let regions = vec![pt(&[f64::NAN, 0.0]), pt(&[1.0, 1.0]), pt(&[2.0, 2.0])];
+        let mut statuses = vec![Status::Undecided; 3];
+        let out = classify(&regions, &mut statuses, &[0.0, 0.0]);
+        assert_eq!(out.dropped, vec![2], "only the finite rival drops 2");
+        assert_eq!(
+            statuses,
+            vec![Status::Pareto, Status::Pareto, Status::Dropped]
+        );
+    }
+
+    #[test]
+    fn near_duplicate_preference_sums_in_coordinate_order() {
+        // Mutual near-duplicates under δ = (0.5, 0, 0). Summed in
+        // coordinate order both pessimistic corners cancel to 0 (the 1
+        // and the 0.5 are absorbed by 2^53), so the tie goes to the lower
+        // index and candidate 1 drops. Summed in any other order the sums
+        // would be 1 and 0.5 and candidate 0 would drop instead.
+        let big = 2.0_f64.powi(53);
+        let regions = vec![pt(&[1.0, big, -big]), pt(&[0.5, big, -big])];
+        let mut statuses = vec![Status::Undecided; 2];
+        let out = classify(&regions, &mut statuses, &[0.5, 0.0, 0.0]);
         assert_eq!(out.dropped, vec![1]);
     }
 

@@ -8,6 +8,7 @@
 //! almost never hit.
 
 use gp::{TaskData, TransferGpConfig};
+use ppatuner::{Status, UncertaintyRegion};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -168,6 +169,187 @@ pub fn gp_queries(rng: &mut StdRng, train: &TaskData, dim: usize, n: usize) -> V
         .collect()
 }
 
+/// One δ-classification problem (Eqs. 11–12): candidate regions, their
+/// statuses before the pass, and the per-objective slack δ.
+#[derive(Debug, Clone)]
+pub struct ClassifyCase {
+    /// Uncertainty regions, one per candidate.
+    pub regions: Vec<UncertaintyRegion>,
+    /// Statuses before the pass (all four variants occur).
+    pub statuses: Vec<Status>,
+    /// Per-objective δ.
+    pub delta: Vec<f64>,
+}
+
+/// Grid step of [`classify_case`]: coordinates and grid-aligned δ are
+/// multiples of it, exact in binary, so `x <= y + d` ties actually occur.
+const CLASSIFY_GRID: f64 = 0.25;
+
+/// A region from explicit finite-or-NaN corners, bypassing
+/// [`UncertaintyRegion::intersect`] (which can neither keep a NaN nor put
+/// one in a single corner) through the serde path, where `null` reads
+/// back as NaN. JSON has no ±∞, so infinite corners are not accepted.
+fn raw_region(lo: &[f64], hi: &[f64]) -> UncertaintyRegion {
+    let fmt = |v: &[f64]| -> String {
+        let parts: Vec<String> = v
+            .iter()
+            .map(|x| {
+                if x.is_nan() {
+                    "null".to_string()
+                } else {
+                    format!("{x:?}")
+                }
+            })
+            .collect();
+        format!("[{}]", parts.join(","))
+    };
+    let json = format!("{{\"lo\":{},\"hi\":{}}}", fmt(lo), fmt(hi));
+    serde_json::from_str(&json).expect("finite or NaN corners round-trip")
+}
+
+/// A region with corners `lo ≤ hi`: through [`UncertaintyRegion::intersect`]
+/// when they hold no NaN (±∞ allowed), else through [`raw_region`]
+/// (the generator never puts ±∞ and NaN in the same region).
+fn region_from(lo: &[f64], hi: &[f64]) -> UncertaintyRegion {
+    if lo.iter().chain(hi).any(|v| v.is_nan()) {
+        return raw_region(lo, hi);
+    }
+    let mut u = UncertaintyRegion::unbounded(lo.len());
+    u.intersect(lo, hi);
+    u
+}
+
+/// A random δ-classification problem of up to `max_n` candidates in
+/// 1–3 objectives. Most cases snap coordinates to a coarse grid so that
+/// corners tie; the generator then over-samples the corners an
+/// output-sensitive `classify` can get wrong:
+///
+/// - exact duplicate regions, and coordinate permutations of a region
+///   (equal pessimistic sums, so the preference falls back to the index);
+/// - looser boxes enclosing an earlier region (rivals hidden behind a
+///   dominance-cover member);
+/// - zero-width (evaluated) points;
+/// - unbounded (±∞) coordinates, NaN coordinates in one or both corners,
+///   and −0.0 next to +0.0;
+/// - all four [`Status`] values;
+/// - δ = 0, grid-aligned δ > 0, and off-grid δ.
+pub fn classify_case(rng: &mut StdRng, max_n: usize) -> ClassifyCase {
+    let m = rng.gen_range(1..=3usize);
+    let n = rng.gen_range(0..=max_n);
+    let gridded = rng.gen_bool(0.7);
+    let coord = |rng: &mut StdRng| -> f64 {
+        if gridded {
+            let v = CLASSIFY_GRID * rng.gen_range(-4..=8i32) as f64;
+            // Zero comes out as +0.0; flip half of them to −0.0.
+            if v == 0.0 && rng.gen_bool(0.5) {
+                -0.0
+            } else {
+                v
+            }
+        } else {
+            rng.gen_range(-1.0..2.0)
+        }
+    };
+    let width = |rng: &mut StdRng| -> f64 {
+        match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => CLASSIFY_GRID * rng.gen_range(1..=2i32) as f64,
+            _ if gridded => CLASSIFY_GRID * rng.gen_range(0..=6i32) as f64,
+            _ => rng.gen_range(0.0..1.5),
+        }
+    };
+
+    let mut regions: Vec<UncertaintyRegion> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let region = match rng.gen_range(0..20u32) {
+            // Fully unbounded: a fresh, never-predicted candidate.
+            0 => UncertaintyRegion::unbounded(m),
+            // Exact duplicate of an earlier region.
+            1..=2 if !regions.is_empty() => regions[rng.gen_range(0..regions.len())].clone(),
+            // Coordinate permutation of an earlier region: same corner
+            // sums (exact on the grid), different corners.
+            3 if !regions.is_empty() && m > 1 => {
+                let src = &regions[rng.gen_range(0..regions.len())];
+                let (mut lo, mut hi) = (src.optimistic().to_vec(), src.pessimistic().to_vec());
+                let shift = rng.gen_range(1..m);
+                lo.rotate_left(shift);
+                hi.rotate_left(shift);
+                region_from(&lo, &hi)
+            }
+            // NaN in one or both corners of one coordinate.
+            4 => {
+                let mut lo: Vec<f64> = (0..m).map(|_| coord(rng)).collect();
+                let mut hi: Vec<f64> = lo.iter().map(|&l| l + width(rng)).collect();
+                let k = rng.gen_range(0..m);
+                let which = rng.gen_range(0..3u32);
+                if which != 1 {
+                    lo[k] = f64::NAN;
+                }
+                if which != 0 {
+                    hi[k] = f64::NAN;
+                }
+                raw_region(&lo, &hi)
+            }
+            // Evaluated: a zero-width point.
+            5..=8 => UncertaintyRegion::point(&(0..m).map(|_| coord(rng)).collect::<Vec<_>>()),
+            // A looser box around an earlier region: its pessimistic
+            // corner sits behind the source's, off any dominance cover,
+            // while its optimistic corner reaches further.
+            9..=11 if !regions.is_empty() => {
+                let src = &regions[rng.gen_range(0..regions.len())];
+                let lo: Vec<f64> = src
+                    .optimistic()
+                    .iter()
+                    .map(|&l| l - CLASSIFY_GRID * rng.gen_range(0..=3i32) as f64)
+                    .collect();
+                let hi: Vec<f64> = src
+                    .pessimistic()
+                    .iter()
+                    .map(|&h| h + CLASSIFY_GRID * rng.gen_range(0..=1i32) as f64)
+                    .collect();
+                region_from(&lo, &hi)
+            }
+            // A box, sometimes unbounded on one side of one coordinate.
+            _ => {
+                let mut lo: Vec<f64> = (0..m).map(|_| coord(rng)).collect();
+                let mut hi: Vec<f64> = lo.iter().map(|&l| l + width(rng)).collect();
+                if rng.gen_bool(0.15) {
+                    let k = rng.gen_range(0..m);
+                    if rng.gen_bool(0.5) {
+                        lo[k] = f64::NEG_INFINITY;
+                    } else {
+                        hi[k] = f64::INFINITY;
+                    }
+                }
+                region_from(&lo, &hi)
+            }
+        };
+        regions.push(region);
+    }
+
+    let statuses: Vec<Status> = (0..n)
+        .map(|_| match rng.gen_range(0..20u32) {
+            0..=9 => Status::Undecided,
+            10..=13 => Status::Pareto,
+            14..=16 => Status::Dropped,
+            _ => Status::Quarantined,
+        })
+        .collect();
+
+    let delta: Vec<f64> = match rng.gen_range(0..3u32) {
+        0 => vec![0.0; m],
+        1 => (0..m)
+            .map(|_| CLASSIFY_GRID * rng.gen_range(0..=2i32) as f64)
+            .collect(),
+        _ => (0..m).map(|_| rng.gen_range(0.0..0.3)).collect(),
+    };
+    ClassifyCase {
+        regions,
+        statuses,
+        delta,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,5 +387,15 @@ mod tests {
         assert!(source.x.len() == source.y.len());
         let queries = gp_queries(&mut rng, &target, 2, 6);
         assert_eq!(queries.len(), 6);
+        let case = classify_case(&mut rng, 12);
+        assert_eq!(case.regions.len(), case.statuses.len());
+        assert!(case.regions.iter().all(|r| r.dim() == case.delta.len()));
+    }
+
+    #[test]
+    fn raw_regions_keep_nan_in_one_corner() {
+        let u = raw_region(&[f64::NAN, -0.0], &[1.0, f64::NAN]);
+        assert!(u.optimistic()[0].is_nan() && u.pessimistic()[1].is_nan());
+        assert!(u.optimistic()[1] == 0.0 && u.optimistic()[1].is_sign_negative());
     }
 }

@@ -1,9 +1,12 @@
-//! Naive reference implementations of the `pareto` crate's algorithms.
+//! Naive reference implementations of the `pareto` crate's algorithms
+//! and of the tuner's δ-classification pass (Eqs. 11–12).
 //!
 //! Everything here is written for obviousness, not speed: quadratic (or
 //! exponential) scans whose correctness can be read off the definition.
 //! The differential suites in `tests/` fuzz the optimized implementations
 //! against these oracles.
+
+use ppatuner::{DecisionOutcome, Status, UncertaintyRegion};
 
 /// Reference dominance test: `a` dominates `b` iff `a ≤ b` componentwise
 /// with at least one strict improvement, computed by explicit counting.
@@ -210,6 +213,94 @@ pub fn epsilon_indicator(golden: &[Vec<f64>], approx: &[Vec<f64>]) -> f64 {
         worst = worst.max(best);
     }
     worst
+}
+
+/// `true` iff `a ≤ b + delta` componentwise (δ-relaxed weak dominance).
+fn delta_leq(a: &[f64], b: &[f64], delta: &[f64]) -> bool {
+    a.iter().zip(b).zip(delta).all(|((&x, &y), &d)| x <= y + d)
+}
+
+/// Reference δ-classification pass (Eqs. 11–12): the all-pairs O(n²·m)
+/// scan that [`ppatuner::classify`] replaces with a dominance cover. Same
+/// contract, same statuses, same [`DecisionOutcome`] lists in the same
+/// order; `tests/classify_differential.rs` pins the two bit-for-bit.
+///
+/// For every undecided candidate `x`:
+///
+/// - **Drop** (Eq. 11) when some other active candidate `x'` satisfies
+///   `max(U(x')) ≤ min(U(x)) + δ`, except that of two near-duplicates
+///   that δ-dominate each other only the less preferred one drops
+///   (preference: smaller pessimistic-corner sum, then smaller index).
+/// - **Promote** (Eq. 12), against post-drop statuses, when no other
+///   active candidate `x'` satisfies `min(U(x')) + δ ≤ max(U(x))`.
+///
+/// # Panics
+///
+/// Panics when `regions`, `statuses` lengths differ or `delta` does not
+/// match the QoR dimension.
+pub fn classify(
+    regions: &[UncertaintyRegion],
+    statuses: &mut [Status],
+    delta: &[f64],
+) -> DecisionOutcome {
+    assert_eq!(regions.len(), statuses.len(), "classify: length mismatch");
+    let n = regions.len();
+    let mut outcome = DecisionOutcome::default();
+    if n == 0 {
+        return outcome;
+    }
+    assert_eq!(regions[0].dim(), delta.len(), "classify: delta dimension");
+
+    let before: Vec<Status> = statuses.to_vec();
+    let prefer = |a: usize, b: usize| -> bool {
+        let sa: f64 = regions[a].pessimistic().iter().sum();
+        let sb: f64 = regions[b].pessimistic().iter().sum();
+        match sa.partial_cmp(&sb) {
+            Some(std::cmp::Ordering::Less) => true,
+            Some(std::cmp::Ordering::Greater) => false,
+            _ => a < b,
+        }
+    };
+    for i in 0..n {
+        if before[i] != Status::Undecided {
+            continue;
+        }
+        let opt_i = regions[i].optimistic();
+        let dominated = (0..n).any(|j| {
+            j != i
+                && before[j].is_active()
+                && delta_leq(regions[j].pessimistic(), opt_i, delta)
+                && !(delta_leq(regions[i].pessimistic(), regions[j].optimistic(), delta)
+                    && prefer(i, j))
+        });
+        if dominated {
+            statuses[i] = Status::Dropped;
+            outcome.dropped.push(i);
+        }
+    }
+
+    let after_drop: Vec<Status> = statuses.to_vec();
+    for i in 0..n {
+        if after_drop[i] != Status::Undecided {
+            continue;
+        }
+        let pess_i = regions[i].pessimistic();
+        let might_be_beaten = (0..n).any(|j| {
+            j != i && after_drop[j].is_active() && {
+                regions[j]
+                    .optimistic()
+                    .iter()
+                    .zip(pess_i)
+                    .zip(delta)
+                    .all(|((&oj, &pi), &d)| oj + d <= pi)
+            }
+        });
+        if !might_be_beaten {
+            statuses[i] = Status::Pareto;
+            outcome.promoted.push(i);
+        }
+    }
+    outcome
 }
 
 /// The transfer kernel's cross-task correlation factor
