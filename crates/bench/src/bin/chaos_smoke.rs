@@ -19,64 +19,12 @@
 //! (defaults to the committed `crates/bench/plans/chaos_smoke.json`).
 //! Exits non-zero listing every violated gate.
 
-use std::cell::RefCell;
-
 use obs::RecordingSink;
 use pdsim::{FaultPlan, ObjectiveSpace};
-use ppatuner::{
-    Checkpoint, CheckpointError, CheckpointStore, MemoryCheckpointStore, PpaTuner, PpaTunerConfig,
-    SourceData, TuneResult, VecOracle,
-};
+use ppatuner::{MemoryCheckpointStore, PpaTuner, PpaTunerConfig, SourceData, VecOracle};
 use testkit::chaos::FaultyVecOracle;
 use testkit::invariants;
-
-/// Keeps every checkpoint ever saved so the smoke can resume from the
-/// middle of the run, simulating a crash at that point.
-#[derive(Default)]
-struct CaptureStore {
-    inner: MemoryCheckpointStore,
-    all: RefCell<Vec<Checkpoint>>,
-}
-
-impl CheckpointStore for CaptureStore {
-    fn save(&self, c: &Checkpoint) -> Result<(), CheckpointError> {
-        self.all.borrow_mut().push(c.clone());
-        self.inner.save(c)
-    }
-
-    fn load(&self) -> Result<Option<Checkpoint>, CheckpointError> {
-        self.inner.load()
-    }
-}
-
-fn same_outcome(a: &TuneResult, b: &TuneResult) -> Result<(), String> {
-    let fields: [(&str, bool); 8] = [
-        ("pareto_indices", a.pareto_indices == b.pareto_indices),
-        ("evaluated", a.evaluated == b.evaluated),
-        ("runs", a.runs == b.runs),
-        (
-            "verification_runs",
-            a.verification_runs == b.verification_runs,
-        ),
-        ("iterations", a.iterations == b.iterations),
-        ("delta", a.delta == b.delta),
-        ("quarantined", a.quarantined == b.quarantined),
-        (
-            "failure counters",
-            (a.eval_failures, a.eval_retries) == (b.eval_failures, b.eval_retries),
-        ),
-    ];
-    let diverged: Vec<&str> = fields
-        .iter()
-        .filter(|(_, same)| !same)
-        .map(|(name, _)| *name)
-        .collect();
-    if diverged.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("diverged in {}", diverged.join(", ")))
-    }
-}
+use testkit::resume::{same_outcome, CaptureStore};
 
 fn main() {
     let plan_path = std::env::args()
@@ -200,7 +148,7 @@ fn main() {
     }
 
     // ------------------------------------------------- resume golden
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     if checkpoints.len() < 2 {
         violations.push(format!(
             "expected several checkpoints, got {}",

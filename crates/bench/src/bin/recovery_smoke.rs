@@ -25,62 +25,18 @@
 //! (defaults to the committed `crates/bench/plans/recovery_smoke.json`).
 //! Exits non-zero listing every violated gate.
 
-use std::cell::RefCell;
 use std::path::PathBuf;
 
 use obs::RecordingSink;
 use pdsim::ObjectiveSpace;
 use ppatuner::{
-    inject_fit_faults, ChainCheckpointStore, Checkpoint, CheckpointError, CheckpointStore,
-    FitFaultPlan, PpaTuner, PpaTunerConfig, SourceData, TuneResult, VecOracle, WatchdogOracle,
+    inject_fit_faults, ChainCheckpointStore, CheckpointStore, FitFaultPlan, PpaTuner,
+    PpaTunerConfig, SourceData, VecOracle, WatchdogOracle,
 };
 use testkit::chaos::HangingOracle;
 use testkit::invariants;
+use testkit::resume::{same_outcome, CaptureStore};
 use testkit::trace::canonical_jsonl;
-
-/// Keeps every checkpoint ever saved so the smoke can replay the save
-/// sequence into fresh chains and crash at any boundary.
-#[derive(Default)]
-struct CaptureStore {
-    all: RefCell<Vec<Checkpoint>>,
-}
-
-impl CheckpointStore for CaptureStore {
-    fn save(&self, c: &Checkpoint) -> Result<(), CheckpointError> {
-        self.all.borrow_mut().push(c.clone());
-        Ok(())
-    }
-
-    fn load(&self) -> Result<Option<Checkpoint>, CheckpointError> {
-        Ok(self.all.borrow().last().cloned())
-    }
-}
-
-fn same_outcome(a: &TuneResult, b: &TuneResult) -> Result<(), String> {
-    let fields: [(&str, bool); 8] = [
-        ("pareto_indices", a.pareto_indices == b.pareto_indices),
-        ("evaluated", a.evaluated == b.evaluated),
-        ("runs", a.runs == b.runs),
-        ("iterations", a.iterations == b.iterations),
-        ("delta", a.delta == b.delta),
-        ("quarantined", a.quarantined == b.quarantined),
-        ("degraded_fits", a.degraded_fits == b.degraded_fits),
-        (
-            "failure counters",
-            (a.eval_failures, a.eval_retries) == (b.eval_failures, b.eval_retries),
-        ),
-    ];
-    let diverged: Vec<&str> = fields
-        .iter()
-        .filter(|(_, same)| !same)
-        .map(|(name, _)| *name)
-        .collect();
-    if diverged.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("diverged in {}", diverged.join(", ")))
-    }
-}
 
 fn scratch_dir(tag: &str, n: usize) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -140,7 +96,7 @@ fn main() {
         )
         .expect("fault-free run succeeds");
     let clean_score = bench::score(&scenario, space, &clean.pareto_indices, clean.runs);
-    let checkpoints = store.all.into_inner();
+    let checkpoints = store.checkpoints();
     println!(
         "fault-free anchor: {} iterations, {} checkpoints",
         clean.iterations,
@@ -294,7 +250,7 @@ fn main() {
         );
     }
     // Mid-run resume with the plan re-armed lands on the same outcome.
-    let degraded_checkpoints = store.all.into_inner();
+    let degraded_checkpoints = store.checkpoints();
     if let Some(mid) = degraded_checkpoints
         .iter()
         .find(|c| c.snapshot.degraded_fits > 0)

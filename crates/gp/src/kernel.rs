@@ -103,57 +103,6 @@ impl Kernel for SquaredExponential {
     }
 }
 
-/// Matérn 5/2 kernel with ARD lengthscales — rougher sample paths than the
-/// squared exponential, often a better prior for tool-response surfaces
-/// with kinks (effort-level switches).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matern52 {
-    signal_var: f64,
-    lengthscales: Vec<f64>,
-}
-
-impl Matern52 {
-    /// Creates an ARD Matérn 5/2 kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SquaredExponential::new`].
-    pub fn new(signal_var: f64, lengthscales: Vec<f64>) -> Result<Self> {
-        // Validation is identical to the SE kernel's.
-        let se = SquaredExponential::new(signal_var, lengthscales)?;
-        Ok(Matern52 {
-            signal_var: se.signal_var,
-            lengthscales: se.lengthscales,
-        })
-    }
-
-    /// The signal variance σ².
-    pub fn signal_var(&self) -> f64 {
-        self.signal_var
-    }
-
-    /// The ARD lengthscales.
-    pub fn lengthscales(&self) -> &[f64] {
-        &self.lengthscales
-    }
-}
-
-impl Kernel for Matern52 {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let mut s = 0.0;
-        for ((&x, &y), &l) in a.iter().zip(b).zip(&self.lengthscales) {
-            let d = (x - y) / l;
-            s += d * d;
-        }
-        let r = (5.0 * s).sqrt();
-        self.signal_var * (1.0 + r + r * r / 3.0) * (-r).exp()
-    }
-
-    fn dim(&self) -> usize {
-        self.lengthscales.len()
-    }
-}
-
 /// Which task a training/query point belongs to in a transfer setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Task {
@@ -297,18 +246,7 @@ mod tests {
         assert!(SquaredExponential::new(0.0, vec![1.0]).is_err());
         assert!(SquaredExponential::new(1.0, vec![-1.0]).is_err());
         assert!(SquaredExponential::new(1.0, vec![]).is_err());
-        assert!(Matern52::new(1.0, vec![f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn matern_rougher_than_se_nearby() {
-        let se = SquaredExponential::isotropic(1, 1.0, 0.5).unwrap();
-        let m = Matern52::new(1.0, vec![0.5]).unwrap();
-        // Both are 1 at zero distance.
-        assert!((m.eval(&[0.0], &[0.0]) - 1.0).abs() < 1e-12);
-        // Matérn decays faster at small distances (less smooth).
-        let d = 0.05;
-        assert!(m.eval(&[0.0], &[d]) < se.eval(&[0.0], &[d]));
+        assert!(SquaredExponential::new(1.0, vec![f64::NAN]).is_err());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! This crate implements, from scratch on top of [`linalg`]:
 //!
-//! - [`kernel`]: stationary kernels (squared-exponential with ARD,
-//!   Matérn 5/2) and the paper's **transfer kernel** (Eqs. 5–7): the
+//! - [`kernel`]: the stationary squared-exponential kernel with ARD and
+//!   the paper's **transfer kernel** (Eqs. 5–7): the
 //!   cross-task correlation factor `λ = 2(1/(1+a))^b − 1` obtained by
 //!   integrating a `Gamma(b, a)` prior over the task-dissimilarity
 //!   parameter φ of `k(x,x')·(2e^{−ηφ} − 1)`;

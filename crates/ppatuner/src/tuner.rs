@@ -1,5 +1,6 @@
 //! The PPATuner loop (Algorithm 1 of the paper).
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -9,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use gp::optimize::{fit_transfer_gp_from_starts, restart_starts, FitBudget};
+use gp::optimize::{fit_transfer_gp_from_starts, restart_starts, FitBudget, FitReport};
 use gp::{GpCounters, PredictCache, SubsetPredictor, TaskData, TransferGp};
 use obs::{Event, Observer, OpenSpan, Tracer, NULL_SINK};
 use serde::{Deserialize, Serialize};
@@ -18,7 +19,7 @@ use crate::checkpoint::{
     digest_matrix, source_digest, Checkpoint, CheckpointStore, EvalOutcome, EvalRecord,
     StateSnapshot, CHECKPOINT_VERSION,
 };
-use crate::decision::{classify, select_batch, Status};
+use crate::decision::{self, select_batch, Status};
 use crate::oracle::{ConcurrentOracle, EvalError, QorOracle, WATCHDOG_STAGE};
 use crate::pool::AdaptivePool;
 use crate::region::UncertaintyRegion;
@@ -291,125 +292,74 @@ impl Default for PpaTunerConfig {
 
 impl PpaTunerConfig {
     fn validate(&self) -> Result<()> {
-        if !(self.tau.is_finite() && self.tau > 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "tau",
-                value: self.tau,
-            });
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        // (name, value reported on failure, valid?) in check order.
+        let checks: [(&'static str, f64, bool); 19] = [
+            ("tau", self.tau, positive(self.tau)),
+            ("delta_rel", self.delta_rel, non_negative(self.delta_rel)),
+            (
+                "initial_samples",
+                self.initial_samples as f64,
+                self.initial_samples >= 2,
+            ),
+            ("batch_size", 0.0, self.batch_size > 0),
+            ("eval_workers", 0.0, self.eval_workers > 0),
+            (
+                "batch_diversity",
+                self.batch_diversity,
+                self.batch_diversity.is_finite() && (0.0..1.0).contains(&self.batch_diversity),
+            ),
+            (
+                "diversity_radius",
+                self.diversity_radius,
+                positive(self.diversity_radius),
+            ),
+            ("max_eval_attempts", 0.0, self.max_eval_attempts > 0),
+            (
+                "backoff_base_s",
+                self.backoff_base_s,
+                non_negative(self.backoff_base_s),
+            ),
+            (
+                "backoff_cap_s",
+                self.backoff_cap_s,
+                non_negative(self.backoff_cap_s),
+            ),
+            (
+                "outlier_gate",
+                self.outlier_gate,
+                positive(self.outlier_gate),
+            ),
+            (
+                "pool_refine_scale",
+                self.pool_refine_scale,
+                positive(self.pool_refine_scale),
+            ),
+            (
+                "pool_refine_ceiling",
+                self.pool_refine_ceiling,
+                !(self.pool_refine_ceiling.is_nan() || self.pool_refine_ceiling <= 0.0),
+            ),
+            ("pool_max_refines", 0.0, self.pool_max_refines > 0),
+            ("pool_max_size", 0.0, self.pool_max_size > 0),
+            ("sod_subset", 0.0, self.sod_subset > 0),
+            ("predict_block", 0.0, self.predict_block > 0),
+            // 0 means auto-size; anything past 4096 is a typo'd value, not
+            // a machine (and would allocate that many chunk slots per sweep).
+            (
+                "predict_workers",
+                self.predict_workers as f64,
+                self.predict_workers <= 4096,
+            ),
+            // A zero budget would make the very first degraded iteration
+            // fatal, i.e. silently disable the degraded mode.
+            ("degraded_fit_budget", 0.0, self.degraded_fit_budget > 0),
+        ];
+        match checks.iter().find(|(_, _, ok)| !ok) {
+            Some(&(name, value, _)) => Err(TunerError::InvalidConfig { name, value }),
+            None => Ok(()),
         }
-        if !(self.delta_rel.is_finite() && self.delta_rel >= 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "delta_rel",
-                value: self.delta_rel,
-            });
-        }
-        if self.initial_samples < 2 {
-            return Err(TunerError::InvalidConfig {
-                name: "initial_samples",
-                value: self.initial_samples as f64,
-            });
-        }
-        if self.batch_size == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "batch_size",
-                value: 0.0,
-            });
-        }
-        if self.eval_workers == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "eval_workers",
-                value: 0.0,
-            });
-        }
-        if !(self.batch_diversity.is_finite() && (0.0..1.0).contains(&self.batch_diversity)) {
-            return Err(TunerError::InvalidConfig {
-                name: "batch_diversity",
-                value: self.batch_diversity,
-            });
-        }
-        if !(self.diversity_radius.is_finite() && self.diversity_radius > 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "diversity_radius",
-                value: self.diversity_radius,
-            });
-        }
-        if self.max_eval_attempts == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "max_eval_attempts",
-                value: 0.0,
-            });
-        }
-        if !(self.backoff_base_s.is_finite() && self.backoff_base_s >= 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "backoff_base_s",
-                value: self.backoff_base_s,
-            });
-        }
-        if !(self.backoff_cap_s.is_finite() && self.backoff_cap_s >= 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "backoff_cap_s",
-                value: self.backoff_cap_s,
-            });
-        }
-        if !(self.outlier_gate.is_finite() && self.outlier_gate > 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "outlier_gate",
-                value: self.outlier_gate,
-            });
-        }
-        if !(self.pool_refine_scale.is_finite() && self.pool_refine_scale > 0.0) {
-            return Err(TunerError::InvalidConfig {
-                name: "pool_refine_scale",
-                value: self.pool_refine_scale,
-            });
-        }
-        if self.pool_refine_ceiling.is_nan() || self.pool_refine_ceiling <= 0.0 {
-            return Err(TunerError::InvalidConfig {
-                name: "pool_refine_ceiling",
-                value: self.pool_refine_ceiling,
-            });
-        }
-        if self.pool_max_refines == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "pool_max_refines",
-                value: 0.0,
-            });
-        }
-        if self.pool_max_size == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "pool_max_size",
-                value: 0.0,
-            });
-        }
-        if self.sod_subset == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "sod_subset",
-                value: 0.0,
-            });
-        }
-        if self.predict_block == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "predict_block",
-                value: 0.0,
-            });
-        }
-        // 0 means auto-size; anything past 4096 is a typo'd value, not a
-        // machine (and would allocate that many chunk slots per sweep).
-        if self.predict_workers > 4096 {
-            return Err(TunerError::InvalidConfig {
-                name: "predict_workers",
-                value: self.predict_workers as f64,
-            });
-        }
-        // A zero budget would make the very first degraded iteration
-        // fatal, i.e. silently disable the degraded mode.
-        if self.degraded_fit_budget == 0 {
-            return Err(TunerError::InvalidConfig {
-                name: "degraded_fit_budget",
-                value: 0.0,
-            });
-        }
-        Ok(())
     }
 
     /// The effective predict-sweep worker count: `predict_workers`, with
@@ -565,7 +515,7 @@ impl PpaTuner {
         oracle: &mut O,
         observer: &dyn Observer,
     ) -> Result<TuneResult> {
-        self.run_core(
+        self.run_session(
             source,
             candidates,
             OracleRef::Serial(oracle),
@@ -592,7 +542,7 @@ impl PpaTuner {
         oracle: &dyn ConcurrentOracle,
         observer: &dyn Observer,
     ) -> Result<TuneResult> {
-        self.run_core(
+        self.run_session(
             source,
             candidates,
             OracleRef::Concurrent(oracle),
@@ -618,7 +568,7 @@ impl PpaTuner {
         observer: &dyn Observer,
         store: &dyn CheckpointStore,
     ) -> Result<TuneResult> {
-        self.run_core(
+        self.run_session(
             source,
             candidates,
             OracleRef::Concurrent(oracle),
@@ -644,8 +594,7 @@ impl PpaTuner {
         store: &dyn CheckpointStore,
     ) -> Result<TuneResult> {
         let ckpt = recover_checkpoint(store, observer)?;
-        let snapshot_degraded = ckpt.as_ref().map_or(0, |c| c.snapshot.degraded_fits);
-        self.run_core(
+        self.run_session(
             source,
             candidates,
             OracleRef::Concurrent(oracle),
@@ -653,7 +602,6 @@ impl PpaTuner {
             Some(store),
             ckpt,
         )
-        .map_err(|e| explain_degraded_divergence(e, snapshot_degraded))
     }
 
     /// Like [`PpaTuner::run_observed`], but persists a [`Checkpoint`] to
@@ -673,7 +621,7 @@ impl PpaTuner {
         observer: &dyn Observer,
         store: &dyn CheckpointStore,
     ) -> Result<TuneResult> {
-        self.run_core(
+        self.run_session(
             source,
             candidates,
             OracleRef::Serial(oracle),
@@ -714,8 +662,7 @@ impl PpaTuner {
         store: &dyn CheckpointStore,
     ) -> Result<TuneResult> {
         let ckpt = recover_checkpoint(store, observer)?;
-        let snapshot_degraded = ckpt.as_ref().map_or(0, |c| c.snapshot.degraded_fits);
-        self.run_core(
+        self.run_session(
             source,
             candidates,
             OracleRef::Serial(oracle),
@@ -723,23 +670,152 @@ impl PpaTuner {
             Some(store),
             ckpt,
         )
-        .map_err(|e| explain_degraded_divergence(e, snapshot_degraded))
     }
 
-    /// The actual loop. `store` enables per-iteration checkpointing;
-    /// `resume_from` replays a previous run's evaluation log before going
-    /// live.
-    fn run_core(
-        &self,
-        source: &SourceData,
+    /// Builds the run's [`Session`] and drives it to the end, replaying
+    /// `resume_from`'s evaluation log first when given.
+    fn run_session<'a>(
+        &'a self,
+        source: &'a SourceData,
         candidates: &[Vec<f64>],
-        oracle: OracleRef<'_>,
-        observer: &dyn Observer,
-        store: Option<&dyn CheckpointStore>,
+        oracle: OracleRef<'a>,
+        observer: &'a dyn Observer,
+        store: Option<&'a dyn CheckpointStore>,
         resume_from: Option<Checkpoint>,
     ) -> Result<TuneResult> {
+        let snapshot_degraded = resume_from.as_ref().map_or(0, |c| c.snapshot.degraded_fits);
+        Session::new(
+            &self.config,
+            source,
+            candidates,
+            oracle,
+            observer,
+            store,
+            resume_from,
+        )
+        .and_then(Session::run)
+        .map_err(|e| explain_degraded_divergence(e, snapshot_degraded))
+    }
+}
+
+/// One tuning run in flight: the state Algorithm 1 carries from phase to
+/// phase, advanced by [`Session::run`].
+///
+/// Resume is deterministic replay. The session re-executes the run from
+/// the start with the same seed, serving whole evaluation waves from the
+/// checkpoint's log instead of the tool, and goes live once the log
+/// drains at the checkpointed iteration boundary (verified against the
+/// snapshot first). `live` is the single emission gate ([`Session::emit`]):
+/// replayed work re-allocates its span IDs but emits nothing and writes
+/// no checkpoint, so the resumed trace continues the interrupted one
+/// seamlessly.
+struct Session<'a> {
+    config: &'a PpaTunerConfig,
+    source: &'a SourceData,
+    observer: &'a dyn Observer,
+    /// Per-iteration checkpoint target, with the candidate and source
+    /// digests that pin the run's identity.
+    store: Option<(&'a dyn CheckpointStore, u64, u64)>,
+    /// The checkpoint replay must reproduce: `(next_iteration, snapshot)`.
+    resume: Option<(usize, StateSnapshot)>,
+    driver: EvalDriver<'a>,
+    /// False while replay re-derives iterations the interrupted trace
+    /// already holds.
+    live: bool,
+    /// Events raised before `RunStart`, held back until the run is fully
+    /// characterized (the first accepted QoR fixes the objective count);
+    /// `None` once `RunStart` is out.
+    pending: RefCell<Option<Vec<Event>>>,
+    tracer: Tracer,
+    run_span: OpenSpan,
+    run_start: Instant,
+    rng: StdRng,
+    /// Owned: the adaptive pool appends refinement candidates. Digests
+    /// and checkpoint validation use the caller's initial list — growth
+    /// only appends, and replays deterministically.
+    candidates: Vec<Vec<f64>>,
+    dim: usize,
+    /// Objective count, 0 until the first QoR is accepted.
+    n_obj: usize,
+    evaluated: Vec<(usize, Vec<f64>)>,
+    evaluated_flag: Vec<bool>,
+    regions: Vec<UncertaintyRegion>,
+    statuses: Vec<Status>,
+    /// Quarantined candidates, in quarantine order.
+    quarantined: Vec<usize>,
+    eval_failures: usize,
+    eval_retries: usize,
+    delta: Vec<f64>,
+    /// Fixed hypervolume reference for trace reporting.
+    hv_reference: Vec<f64>,
+    /// Running per-objective span of accepted observations: the floor of
+    /// the outlier gate's allowance, so a tight (or collapsed) region can
+    /// never reject values of the magnitude the tool actually produces.
+    obs_span: ObservedSpan,
+    source_tasks: Vec<TaskData>,
+    pool: Option<AdaptivePool>,
+    history: Vec<IterationRecord>,
+    iterations: usize,
+    /// Per-objective surrogates, persistent across iterations: full
+    /// hyper-parameter refits replace them, warm iterations extend them in
+    /// place (`condition_on`) with the observations made since.
+    models: Option<Vec<TransferGp>>,
+    /// How many entries of `evaluated` each objective's model has seen.
+    /// Per-objective because a degraded (frozen) model lags its peers
+    /// until a later calibration catches it up on everything it missed.
+    conditioned_upto: Vec<usize>,
+    /// Degraded-mode supervisor state. `degraded_streak` counts
+    /// *consecutive* iterations in which at least one objective was served
+    /// by a last-good model after a numerical calibration failure; a fully
+    /// clean calibration resets it, and exceeding `degraded_fit_budget`
+    /// aborts with a typed error. Replay re-derives both deterministically
+    /// (an injected fault plan must be re-armed on resume —
+    /// `verify_resumed` compares the total against the snapshot to catch
+    /// a forgotten one).
+    degraded_total: usize,
+    degraded_streak: usize,
+    last_degraded_cause: String,
+    /// Per-objective predict caches, persistent like the models: warm
+    /// iterations only append rows to the joint factor, so each undecided
+    /// candidate's forward-substitution prefix survives and the sweep pays
+    /// only the q-row tail. Refits invalidate via the fit epoch;
+    /// candidates that stop being queried are evicted at the next sweep
+    /// boundary. Results are bit-identical either way.
+    predict_caches: Vec<PredictCache>,
+    predict_workers: usize,
+}
+
+/// The bookkeeping of the iteration in flight, filled in by its phases.
+struct Iteration {
+    t: usize,
+    span: OpenSpan,
+    start: Instant,
+    resources: GpCounters,
+    /// Log length before the iteration: it is a checkpoint boundary only
+    /// if it logged at least one attempt.
+    log_mark: usize,
+    gp_fit_s: f64,
+    predict_s: f64,
+    /// `(undecided, pareto, dropped, quarantined)`, counted once by
+    /// classification and maintained through the quarantine transitions
+    /// of selection.
+    counts: (usize, usize, usize, usize),
+}
+
+impl<'a> Session<'a> {
+    /// Checks the inputs and, when resuming, that the checkpoint belongs
+    /// to this run; `resume_from` supplies the evaluation log to replay.
+    fn new(
+        config: &'a PpaTunerConfig,
+        source: &'a SourceData,
+        candidates: &[Vec<f64>],
+        oracle: OracleRef<'a>,
+        observer: &'a dyn Observer,
+        store: Option<&'a dyn CheckpointStore>,
+        resume_from: Option<Checkpoint>,
+    ) -> Result<Self> {
         let run_start = Instant::now();
-        self.config.validate()?;
+        config.validate()?;
         if candidates.is_empty() {
             return Err(TunerError::InvalidInput {
                 reason: "candidate set must not be empty",
@@ -761,34 +837,21 @@ impl PpaTuner {
                 reason: "candidates must be finite (no NaN/inf)",
             });
         }
-        // From here on the candidate list is owned: the adaptive pool
-        // appends refinement candidates to it. Digests and checkpoint
-        // validation below run against this initial (caller) state —
-        // growth only ever appends, and replays deterministically, so
-        // the caller's candidates stay the run's identity.
-        let mut candidates: Vec<Vec<f64>> = candidates.to_vec();
-
-        // Checkpoint plumbing. `driver` serves oracle attempts — from the
-        // resume log while it lasts, live afterwards — and records every
-        // outcome so later checkpoints carry the complete history. `live`
-        // gates run-structure events (and checkpoint writes) off while
-        // replay reproduces already-traced iterations.
-        let digests = store.map(|_| (digest_matrix(&candidates), source_digest(source)));
+        let store = store.map(|s| (s, digest_matrix(candidates), source_digest(source)));
         if let Some(ckpt) = &resume_from {
-            ckpt.validate(&self.config, &candidates, source)
+            ckpt.validate(config, candidates, source)
                 .map_err(|reason| TunerError::Checkpoint { reason })?;
         }
-        let resume_state = resume_from.map(|c| (c.next_iteration, c.snapshot, c.eval_log));
-        let mut driver = EvalDriver {
+        let (resume, replay) = match resume_from {
+            Some(c) => (Some((c.next_iteration, c.snapshot)), c.eval_log.into()),
+            None => (None, VecDeque::new()),
+        };
+        let driver = EvalDriver {
             oracle,
-            replay: resume_state
-                .as_ref()
-                .map(|(_, _, log)| log.iter().cloned().collect())
-                .unwrap_or_default(),
+            replay,
             replayed_runs: 0,
             log: Vec::new(),
         };
-        let mut live = !driver.replaying();
         // Causal spans. IDs are allocated unconditionally along the run
         // structure (a relaxed atomic add — negligible for NULL_SINK runs)
         // but emitted only for live, enabled observers. A resumed run
@@ -797,824 +860,722 @@ impl PpaTuner {
         // stopped — concatenated traces stay one seamless span tree.
         let tracer = Tracer::new();
         let run_span = tracer.open("run", None);
-        let mut eval_failures = 0usize;
-        let mut eval_retries = 0usize;
-        let mut quarantined_order: Vec<usize> = Vec::new();
-
         let n = candidates.len();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        Ok(Session {
+            config,
+            source,
+            observer,
+            store,
+            resume,
+            live: !driver.replaying(),
+            driver,
+            pending: RefCell::new(Some(Vec::new())),
+            tracer,
+            run_span,
+            run_start,
+            rng: StdRng::seed_from_u64(config.seed),
+            candidates: candidates.to_vec(),
+            dim,
+            n_obj: 0,
+            evaluated: Vec::new(),
+            evaluated_flag: vec![false; n],
+            regions: Vec::new(),
+            statuses: vec![Status::Undecided; n],
+            quarantined: Vec::new(),
+            eval_failures: 0,
+            eval_retries: 0,
+            delta: Vec::new(),
+            hv_reference: Vec::new(),
+            obs_span: ObservedSpan::new(0),
+            source_tasks: Vec::new(),
+            pool: None,
+            history: Vec::new(),
+            iterations: 0,
+            models: None,
+            conditioned_upto: Vec::new(),
+            degraded_total: 0,
+            degraded_streak: 0,
+            last_degraded_cause: String::new(),
+            predict_caches: Vec::new(),
+            predict_workers: config.effective_predict_workers(),
+        })
+    }
 
-        // ------------------------------------------------- initialization
-        // Greedy maximin selection seeded by a random pick: the random
-        // sampling of the paper with better space coverage for the same
-        // budget (pure-random ablation: shuffle and truncate instead).
-        let init_count = self.config.initial_samples.min(n);
-        let mut init_idx: Vec<usize> = Vec::with_capacity(init_count);
-        {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.shuffle(&mut rng);
-            init_idx.push(order[0]);
-            let mut dist = vec![f64::INFINITY; n];
-            while init_idx.len() < init_count {
-                let last = *init_idx.last().expect("non-empty");
-                for (i, d) in dist.iter_mut().enumerate() {
-                    let dd = sq_dist(&candidates[i], &candidates[last]);
-                    if dd < *d {
-                        *d = dd;
-                    }
-                }
-                let next = (0..n)
-                    .filter(|i| !init_idx.contains(i))
-                    .max_by(|&a, &b| {
-                        dist[a]
-                            .partial_cmp(&dist[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("candidates remain");
-                init_idx.push(next);
+    /// Algorithm 1: the initial design, then calibrate, predict,
+    /// classify, and select-and-evaluate until every candidate is decided
+    /// (or the iteration cap), then the closing verification pass.
+    fn run(mut self) -> Result<TuneResult> {
+        self.start()?;
+        for t in 0..self.config.max_iterations {
+            self.go_live_if_drained(t)?;
+            if !self.statuses.contains(&Status::Undecided) {
+                break;
+            }
+            let mut it = self.open_iteration(t);
+            self.calibrate(&mut it)?;
+            self.predict(&mut it)?;
+            self.classify(&mut it);
+            let stop = self.select_and_evaluate(&mut it)?;
+            self.record(&it);
+            self.checkpoint(&it)?;
+            if stop {
+                break;
             }
         }
+        self.finish()
+    }
 
-        let mut evaluated: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut evaluated_flag = vec![false; n];
-        // Attempt-level events are buffered until RunStart can be emitted
-        // (the run isn't fully characterized until the first QoR arrives).
-        let mut init_events: Vec<Event> = Vec::new();
-        let mut init_quarantined: Vec<(usize, usize)> = Vec::new();
-        let mut n_obj_opt: Option<usize> = None;
+    /// Emits the event `make` builds, only for a live run and an enabled
+    /// observer — replayed work stays silent, and a disabled observer
+    /// never pays for event construction. Events raised before `RunStart`
+    /// are held back in `pending`.
+    fn emit(&self, make: impl FnOnce() -> Event) {
+        if self.live && self.observer.enabled() {
+            let event = make();
+            match self.pending.borrow_mut().as_mut() {
+                Some(held) => held.push(event),
+                None => self.observer.emit(&event),
+            }
+        }
+    }
+
+    /// Initialization (Algorithm 1, lines 1–3): evaluates the maximin
+    /// initial design, announces the run, and derives δ, the hypervolume
+    /// reference, and the per-candidate state from the observed sample.
+    fn start(&mut self) -> Result<()> {
+        let n = self.candidates.len();
+        let init_count = self.config.initial_samples.min(n);
+        let init_idx = maximin_design(&self.candidates, init_count, &mut self.rng);
+        let run_span = self.run_span.clone();
         for chunk in init_idx.chunks(self.config.batch_size.max(1)) {
-            let outs = {
-                let ctx = WaveCtx {
-                    iteration: 0,
-                    candidates: &candidates,
-                    n_obj: n_obj_opt,
-                    gate: None,
-                };
-                evaluate_wave(
-                    &mut driver,
-                    chunk,
-                    &ctx,
-                    &self.config,
-                    live && observer.enabled(),
-                    &mut |e| init_events.push(e),
-                    &tracer,
-                    &run_span,
-                )?
-            };
+            let outs = self.evaluate_wave(chunk, 0, &run_span, false)?;
             for (&i, out) in chunk.iter().zip(outs) {
-                eval_retries += out.attempts.saturating_sub(1);
-                eval_failures += out.failures;
                 match out.qor {
                     Some(y) => {
-                        match n_obj_opt {
-                            // The first accepted QoR of a wave fixes the
-                            // objective count; siblings of that same wave
-                            // were sanitized before it was known, so they
-                            // are dimension-checked here instead.
-                            None => n_obj_opt = Some(y.len()),
-                            Some(m) if y.len() != m => return Err(TunerError::InvalidInput {
+                        // The first accepted QoR of a wave fixes the
+                        // objective count; siblings of that same wave
+                        // were sanitized before it was known, so they
+                        // are dimension-checked here instead.
+                        if self.n_obj == 0 {
+                            self.n_obj = y.len();
+                        } else if y.len() != self.n_obj {
+                            return Err(TunerError::InvalidInput {
                                 reason:
                                     "oracle returned inconsistent objective counts within a batch",
-                            }),
-                            Some(_) => {}
-                        }
-                        evaluated_flag[i] = true;
-                        evaluated.push((i, y));
-                    }
-                    None => {
-                        if live && observer.enabled() {
-                            init_events.push(Event::CandidateQuarantined {
-                                iteration: 0,
-                                candidate: i,
-                                attempts: out.attempts,
                             });
                         }
-                        init_quarantined.push((i, out.attempts));
+                        self.evaluated_flag[i] = true;
+                        self.evaluated.push((i, y));
                     }
+                    None => self.quarantine(0, i, out.attempts),
                 }
             }
         }
         // Two successes are the floor for observed ranges (δ, the
         // hypervolume reference) and a fittable target task.
-        let n_obj = match n_obj_opt {
-            Some(m) if evaluated.len() >= 2 => m,
-            _ => {
-                return Err(TunerError::InvalidInput {
-                    reason: "fewer than two initialization evaluations succeeded",
-                })
-            }
-        };
-        if let Some(m) = source.objectives() {
-            if m != n_obj {
-                return Err(TunerError::InvalidInput {
-                    reason: "source and oracle objective counts differ",
-                });
-            }
-        }
-
-        // The run is now fully characterized: announce it, then flush the
-        // buffered initialization attempts into the trace (iteration 0).
-        if live && observer.enabled() {
-            observer.emit(&Event::RunStart {
-                candidates: n,
-                objectives: n_obj,
-                dim,
-                initial_samples: init_count,
-                max_iterations: self.config.max_iterations,
-                seed: self.config.seed,
+        if self.evaluated.len() < 2 {
+            return Err(TunerError::InvalidInput {
+                reason: "fewer than two initialization evaluations succeeded",
             });
-            // The run span opens right after RunStart, before the buffered
-            // initialization attempts that are its children.
-            observer.emit(&run_span.start_event());
-            for e in &init_events {
-                observer.emit(e);
-            }
         }
-        drop(init_events);
+        let n_obj = self.n_obj;
+        if self.source.objectives().is_some_and(|m| m != n_obj) {
+            return Err(TunerError::InvalidInput {
+                reason: "source and oracle objective counts differ",
+            });
+        }
 
-        // Per-objective observed ranges of the initialization sample.
+        // The run is now fully characterized: announce it, open the run
+        // span, then flush the held initialization attempts (its
+        // children) into the trace.
+        let held = self.pending.take().unwrap_or_default();
+        self.emit(|| Event::RunStart {
+            candidates: n,
+            objectives: n_obj,
+            dim: self.dim,
+            initial_samples: init_count,
+            max_iterations: self.config.max_iterations,
+            seed: self.config.seed,
+        });
+        self.emit(|| self.run_span.start_event());
+        for event in held {
+            self.emit(|| event);
+        }
+
         let init_ranges: Vec<(f64, f64)> = (0..n_obj)
             .map(|k| {
-                let vals: Vec<f64> = evaluated.iter().map(|(_, y)| y[k]).collect();
-                let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
-                let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let vals = self.evaluated.iter().map(|(_, y)| y[k]);
+                let lo = vals.clone().fold(f64::INFINITY, f64::min);
+                let hi = vals.fold(f64::NEG_INFINITY, f64::max);
                 (lo, hi)
             })
             .collect();
-
         // Absolute δ from the observed initialization ranges.
-        let delta: Vec<f64> = init_ranges
+        self.delta = init_ranges
             .iter()
             .map(|&(lo, hi)| (hi - lo).max(f64::MIN_POSITIVE) * self.config.delta_rel)
             .collect();
-
-        // Fixed hypervolume reference for trace reporting: slightly worse
-        // than the initialization nadir, so incremental hypervolume is
-        // monotone and comparable across iterations of the same run.
-        let hv_reference: Vec<f64> = init_ranges
+        // Slightly worse than the initialization nadir, so incremental
+        // hypervolume is monotone and comparable across iterations.
+        self.hv_reference = init_ranges
             .iter()
             .map(|&(lo, hi)| hi + 0.1 * (hi - lo).max(f64::MIN_POSITIVE))
             .collect();
-
-        let mut regions: Vec<UncertaintyRegion> = (0..n)
+        self.regions = (0..n)
             .map(|_| UncertaintyRegion::unbounded(n_obj))
             .collect();
-        for (i, y) in &evaluated {
-            regions[*i].collapse_to(y);
+        self.obs_span = ObservedSpan::new(n_obj);
+        for (i, y) in &self.evaluated {
+            self.regions[*i].collapse_to(y);
+            self.obs_span.absorb(y);
         }
-        let mut statuses = vec![Status::Undecided; n];
-        for &(i, _) in &init_quarantined {
-            statuses[i] = Status::Quarantined;
-            quarantined_order.push(i);
+        self.source_tasks = (0..n_obj).map(|k| self.source.task_data(k)).collect();
+        // The adaptive pool wraps the candidates in a bisection cell tree;
+        // refinement happens in `predict` once regions carry evidence.
+        if self.config.adaptive_pool {
+            self.pool = Some(AdaptivePool::new(&self.candidates)?);
         }
+        self.conditioned_upto = vec![0; n_obj];
+        self.predict_caches = (0..n_obj).map(|_| PredictCache::new()).collect();
+        Ok(())
+    }
 
-        // Running per-objective span of accepted observations: the floor
-        // of the outlier gate's allowance, so a tight (or collapsed)
-        // region can never reject values of the magnitude the tool
-        // actually produces.
-        let mut obs_span = ObservedSpan::new(n_obj);
-        for (_, y) in &evaluated {
-            obs_span.absorb(y);
+    /// Replay drains exactly at the checkpoint's iteration boundary: the
+    /// re-derived state is verified against the snapshot before live
+    /// evaluation and event emission take over.
+    fn go_live_if_drained(&mut self, t: usize) -> Result<()> {
+        if !self.live && !self.driver.replaying() {
+            if let Some((next_iteration, snapshot)) = &self.resume {
+                self.verify_resumed(t, *next_iteration, snapshot)?;
+            }
+            self.live = true;
         }
+        Ok(())
+    }
 
-        let source_tasks: Vec<TaskData> = (0..n_obj).map(|k| source.task_data(k)).collect();
+    fn open_iteration(&mut self, t: usize) -> Iteration {
+        self.iterations = t + 1;
+        let it = Iteration {
+            t,
+            start: Instant::now(),
+            span: self.tracer.open("iteration", Some(&self.run_span)),
+            resources: GpCounters::snapshot(),
+            log_mark: self.driver.log.len(),
+            gp_fit_s: 0.0,
+            predict_s: 0.0,
+            counts: (0, 0, 0, 0),
+        };
+        self.emit(|| it.span.start_event());
+        it
+    }
 
-        // The adaptive pool (when enabled) wraps the candidates in a
-        // bisection cell tree; refinement happens inside the loop once
-        // uncertainty regions carry evidence.
-        let mut pool = if self.config.adaptive_pool {
-            Some(AdaptivePool::new(&candidates)?)
+    /// Model calibration (Algorithm 1, lines 4–6): a full hyper-parameter
+    /// refit every `refit_every` iterations, a warm `condition_on` update
+    /// otherwise, under the degraded-mode supervisor.
+    fn calibrate(&mut self, it: &mut Iteration) -> Result<()> {
+        let phase = Instant::now();
+        let span = self.tracer.open("gp_fit", Some(&it.span));
+        self.emit(|| span.start_event());
+        let degraded =
+            if self.models.is_none() || it.t.is_multiple_of(self.config.refit_every.max(1)) {
+                self.refit(it.t)?
+            } else {
+                self.condition(it.t)?
+            };
+        if degraded {
+            self.degraded_streak += 1;
+            if self.degraded_streak > self.config.degraded_fit_budget {
+                return Err(TunerError::DegradationBudgetExhausted {
+                    consecutive: self.degraded_streak,
+                    cause: std::mem::take(&mut self.last_degraded_cause),
+                });
+            }
+        } else {
+            self.degraded_streak = 0;
+        }
+        it.gp_fit_s = phase.elapsed().as_secs_f64();
+        self.emit(|| self.tracer.end_event(&span));
+        Ok(())
+    }
+
+    /// Refits every objective's hyper-parameters from scratch. Returns
+    /// whether any objective fell back to its last-good model.
+    fn refit(&mut self, t: usize) -> Result<bool> {
+        let n_obj = self.n_obj;
+        // One shared encoded copy of the evaluated configurations; each
+        // objective's task view only materializes its own QoR column.
+        let target_x: Arc<Vec<Vec<f64>>> = Arc::new(
+            self.evaluated
+                .iter()
+                .map(|(i, _)| self.candidates[*i].clone())
+                .collect(),
+        );
+        let target_tasks: Vec<TaskData> = (0..n_obj)
+            .map(|k| {
+                TaskData::from_shared(
+                    Arc::clone(&target_x),
+                    self.evaluated.iter().map(|(_, y)| y[k]).collect(),
+                )
+            })
+            .collect();
+        // Pre-draw every objective's restart starts sequentially
+        // (objective order), then fan the independent searches out across
+        // threads: the RNG stream — and therefore the result — is
+        // identical at any thread count.
+        let starts: Vec<Vec<Vec<f64>>> = (0..n_obj)
+            .map(|_| restart_starts(self.dim, self.config.fit_budget.restarts, &mut self.rng))
+            .collect();
+        let budget = self.config.fit_budget;
+        let fit_threads = self.config.threads.max(1);
+        let restart_threads = (fit_threads / n_obj).max(1);
+        type FitOut = gp::Result<(TransferGp, FitReport, f64)>;
+        // Injected numerical faults (chaos suites) are decided here on the
+        // coordinator thread — a pure hash of (iteration, objective) — so
+        // the scoped fit workers stay oblivious to the thread-local plan
+        // and replay re-derives identical decisions.
+        let injected: Vec<Option<gp::GpError>> = (0..n_obj)
+            .map(|k| supervisor::injected_fault(supervisor::FitStage::Refit, t, k))
+            .collect();
+        let (source_tasks, dim) = (&self.source_tasks, self.dim);
+        let fit_one = |k: usize| -> FitOut {
+            if let Some(e) = injected[k].clone() {
+                return Err(e);
+            }
+            let fit_start = Instant::now();
+            let (m, report) = fit_transfer_gp_from_starts(
+                &source_tasks[k],
+                &target_tasks[k],
+                dim,
+                budget,
+                &starts[k],
+                restart_threads,
+            )?;
+            Ok((m, report, fit_start.elapsed().as_secs_f64()))
+        };
+        let outs: Vec<FitOut> = if fit_threads == 1 || n_obj == 1 {
+            (0..n_obj).map(fit_one).collect()
+        } else {
+            let mut slots: Vec<Option<FitOut>> = (0..n_obj).map(|_| None).collect();
+            std::thread::scope(|s| {
+                let fit_one = &fit_one;
+                for (k, slot) in slots.iter_mut().enumerate() {
+                    s.spawn(move || *slot = Some(fit_one(k)));
+                }
+            });
+            slots
+                .into_iter()
+                .map(|o| o.expect("every fit slot is filled"))
+                .collect()
+        };
+        // Last-good surrogates, one slot per objective, for the degraded
+        // fallback below. None before the bootstrap fit.
+        let mut prev_models: Vec<Option<TransferGp>> = match self.models.take() {
+            Some(v) => v.into_iter().map(Some).collect(),
+            None => (0..n_obj).map(|_| None).collect(),
+        };
+        let mut models: Vec<TransferGp> = Vec::with_capacity(n_obj);
+        let mut degraded = false;
+        for (k, out) in outs.into_iter().enumerate() {
+            match out {
+                Ok((model, report, fit_duration)) => {
+                    self.emit(|| gp_fit_event(t, k, &model, Some(&report), fit_duration));
+                    self.conditioned_upto[k] = self.evaluated.len();
+                    models.push(model);
+                }
+                Err(e) if e.is_recoverable() && prev_models[k].is_some() => {
+                    // Degraded mode: the last-good surrogate for this
+                    // objective absorbs the failure. First choice is a
+                    // data-only refit reusing its hyper-parameters (fresh
+                    // observations still enter the model); if that fails
+                    // too, the previous model serves one more iteration
+                    // frozen. A DegradedFit event replaces the objective's
+                    // GpFit, so clean traces are untouched.
+                    let prev = prev_models[k].take().expect("just checked");
+                    let fallback =
+                        match supervisor::injected_fault(supervisor::FitStage::Fallback, t, k) {
+                            Some(fe) => Err(fe),
+                            None => prev.refit_data_only(
+                                self.source_tasks[k].clone(),
+                                target_tasks[k].clone(),
+                            ),
+                        };
+                    let (model, mode) = match fallback {
+                        Ok(m) => {
+                            self.conditioned_upto[k] = self.evaluated.len();
+                            (m, DEGRADED_REFIT_REUSED)
+                        }
+                        // Frozen: conditioned_upto[k] stays put, so the
+                        // next successful calibration catches this
+                        // objective up on what it missed.
+                        Err(_) => (prev, DEGRADED_FROZEN),
+                    };
+                    self.degrade(t, k, &e, mode);
+                    degraded = true;
+                    models.push(model);
+                }
+                // Structural failure, or no last-good model to degrade to
+                // (the bootstrap fit): abort.
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.models = Some(models);
+        Ok(degraded)
+    }
+
+    /// Warm iteration: extends each persistent surrogate with the
+    /// observations made since its factorization — a rank-k Cholesky
+    /// append instead of a from-scratch refit. A numerically rejected
+    /// extension freezes that objective's model for this iteration
+    /// (`condition_on` leaves it untouched on error); its conditioning
+    /// mark stays put so a later calibration catches it up. Returns
+    /// whether any objective degraded.
+    fn condition(&mut self, t: usize) -> Result<bool> {
+        let mut models = self.models.take().expect("warm path follows a refit");
+        let mut degraded = false;
+        for (k, model) in models.iter_mut().enumerate() {
+            let fit_start = Instant::now();
+            let fresh = &self.evaluated[self.conditioned_upto[k]..];
+            let new_x: Vec<Vec<f64>> = fresh
+                .iter()
+                .map(|(i, _)| self.candidates[*i].clone())
+                .collect();
+            let new_y: Vec<f64> = fresh.iter().map(|(_, y)| y[k]).collect();
+            let outcome = match supervisor::injected_fault(supervisor::FitStage::Condition, t, k) {
+                Some(e) => Err(e),
+                None => model.condition_on(&new_x, &new_y),
+            };
+            match outcome {
+                Ok(()) => {
+                    self.conditioned_upto[k] = self.evaluated.len();
+                    self.emit(|| {
+                        gp_fit_event(t, k, model, None, fit_start.elapsed().as_secs_f64())
+                    });
+                }
+                Err(e) if e.is_recoverable() => {
+                    self.degrade(t, k, &e, DEGRADED_FROZEN);
+                    degraded = true;
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.models = Some(models);
+        Ok(degraded)
+    }
+
+    /// Books one degraded calibration of objective `k` and traces it.
+    fn degrade(&mut self, t: usize, k: usize, cause: &gp::GpError, mode: &str) {
+        self.degraded_total += 1;
+        self.last_degraded_cause = cause.to_string();
+        self.emit(|| Event::DegradedFit {
+            iteration: t,
+            objective: k,
+            cause: cause.to_string(),
+            mode: mode.to_string(),
+            consecutive: self.degraded_streak + 1,
+        });
+    }
+
+    /// Predicts boxes for active, un-evaluated candidates and intersects
+    /// them into the regions (Eq. 10) — through the exact posterior, or
+    /// the subset-of-data path once the training set outgrows
+    /// `sod_threshold` — then grows the adaptive pool and boxes the new
+    /// representatives immediately, so this iteration's classification
+    /// and selection see them.
+    fn predict(&mut self, it: &mut Iteration) -> Result<()> {
+        let phase = Instant::now();
+        let models = self.models.as_ref().expect("models exist past fitting");
+        // Subset predictors are rebuilt from the freshly calibrated models
+        // each iteration, so they never lag the exact posterior's data.
+        let train_size = self.source.len() + self.evaluated.len();
+        let sod: Option<Vec<SubsetPredictor>> = if train_size > self.config.sod_threshold {
+            Some(
+                models
+                    .iter()
+                    .map(|m| m.subset_predictor(self.config.sod_subset))
+                    .collect::<gp::Result<_>>()?,
+            )
         } else {
             None
         };
+        let surrogates = match &sod {
+            Some(preds) => Surrogates::Subset(preds),
+            None => Surrogates::Exact(models),
+        };
+        let active: Vec<usize> = (0..self.candidates.len())
+            .filter(|&i| self.statuses[i].is_active() && !self.evaluated_flag[i])
+            .collect();
+        // PredictMode is only in the trace when the SoD feature is
+        // actually configured — legacy traces stay byte-identical.
+        if self.config.sod_threshold != usize::MAX {
+            self.emit(|| Event::PredictMode {
+                iteration: it.t,
+                train_size,
+                subset_size: sod
+                    .as_ref()
+                    .and_then(|preds| preds.first())
+                    .map_or(train_size, SubsetPredictor::subset_size),
+                queries: active.len(),
+                mode: if sod.is_some() { "subset" } else { "exact" }.into(),
+            });
+        }
+        // One sweep per iteration: entries untouched since the last sweep
+        // belong to classified/pruned candidates and are evicted; the
+        // active-set and pool-refinement predicts share the new stamp.
+        for cache in &mut self.predict_caches {
+            cache.begin_sweep();
+        }
+        let boxes = predict_boxes(
+            &surrogates,
+            &self.candidates,
+            &active,
+            self.config.tau,
+            self.predict_workers,
+            self.config.predict_block,
+            &mut self.predict_caches,
+        )?;
+        for (&i, (lo, hi)) in active.iter().zip(&boxes) {
+            self.regions[i].intersect(lo, hi);
+        }
 
-        let mut history = Vec::new();
-        let mut iterations = 0;
-        // Per-objective surrogates, persistent across iterations: full
-        // hyper-parameter refits replace them, warm iterations extend them
-        // in place (`condition_on`) with the observations made since.
-        let mut models_opt: Option<Vec<TransferGp>> = None;
-        // How many entries of `evaluated` each objective's persistent
-        // model has seen. Per-objective because a degraded (frozen) model
-        // lags its peers until a later calibration catches it up on
-        // everything it missed.
-        let mut conditioned_upto = vec![0usize; n_obj];
-        // Degraded-mode supervisor state. `degraded_streak` counts
-        // *consecutive* iterations in which at least one objective was
-        // served by a last-good model after a numerical calibration
-        // failure; a fully clean calibration resets it, and exceeding
-        // `degraded_fit_budget` aborts with a typed error. Replay
-        // re-derives both deterministically (an injected fault plan must
-        // be re-armed on resume — `verify_resumed_state` compares the
-        // total against the snapshot to catch a forgotten one).
-        let mut degraded_total = 0usize;
-        let mut degraded_streak = 0usize;
-        let mut last_degraded_cause = String::new();
-        // Per-objective predict caches, persistent like the models: warm
-        // iterations only append rows to the joint factor, so each
-        // undecided candidate's forward-substitution prefix survives and
-        // the sweep pays only the q-row tail. Refits invalidate via the
-        // fit epoch; candidates that stop being queried are evicted at
-        // the next sweep boundary. Results are bit-identical either way.
-        let mut predict_caches: Vec<PredictCache> =
-            (0..n_obj).map(|_| PredictCache::new()).collect();
-        let predict_workers = self.config.effective_predict_workers();
-
-        // ------------------------------------------------------- the loop
-        for t in 0..self.config.max_iterations {
-            // Replay drains exactly at the checkpoint's iteration
-            // boundary; verify the re-derived state against the snapshot
-            // before switching to live evaluation and event emission.
-            if !live && !driver.replaying() {
-                if let Some((next_iteration, snapshot, _)) = &resume_state {
-                    verify_resumed_state(
-                        t,
-                        *next_iteration,
-                        snapshot,
-                        &statuses,
-                        evaluated.len(),
-                        driver.runs(),
-                        &rng,
-                        &delta,
-                        degraded_total,
-                    )?;
+        // Adaptive refinement: split the cells whose representative's
+        // region stayed wide relative to the cell itself.
+        if let Some(pool) = self.pool.as_mut() {
+            let before = self.candidates.len();
+            let outcome = pool.refine(
+                &mut self.candidates,
+                &self.regions,
+                &self.statuses,
+                self.config.pool_refine_scale,
+                self.config.pool_refine_ceiling,
+                self.config.pool_max_refines,
+                self.config.pool_max_size,
+            );
+            if outcome.splits > 0 {
+                let fresh: Vec<usize> = (before..self.candidates.len()).collect();
+                for _ in &fresh {
+                    self.regions.push(UncertaintyRegion::unbounded(self.n_obj));
+                    self.statuses.push(Status::Undecided);
+                    self.evaluated_flag.push(false);
                 }
-                live = true;
+                let fresh_boxes = predict_boxes(
+                    &surrogates,
+                    &self.candidates,
+                    &fresh,
+                    self.config.tau,
+                    self.predict_workers,
+                    self.config.predict_block,
+                    &mut self.predict_caches,
+                )?;
+                for (&i, (lo, hi)) in fresh.iter().zip(&fresh_boxes) {
+                    self.regions[i].intersect(lo, hi);
+                }
             }
-            let undecided_exists = statuses.contains(&Status::Undecided);
-            if !undecided_exists {
+            self.emit(|| Event::PoolRefine {
+                iteration: it.t,
+                splits: outcome.splits,
+                leaves: outcome.leaves,
+                pool_size: self.candidates.len(),
+                effective_pool: outcome.effective_pool,
+            });
+        }
+        it.predict_s = phase.elapsed().as_secs_f64();
+        Ok(())
+    }
+
+    /// Decision-making (Algorithm 1, lines 7–9): δ-classification of every
+    /// candidate from its current region.
+    fn classify(&mut self, it: &mut Iteration) {
+        let span = self.tracer.open("classify", Some(&it.span));
+        decision::classify(&self.regions, &mut self.statuses, &self.delta);
+        it.counts = status_counts(&self.statuses);
+        let (undecided, pareto, dropped, _) = it.counts;
+        self.emit(|| span.start_event());
+        self.emit(|| Event::Classify {
+            iteration: it.t,
+            pareto,
+            dropped,
+            undecided,
+            delta: self.delta.clone(),
+        });
+        self.emit(|| Event::RegionSnapshot {
+            iteration: it.t,
+            statuses: self.statuses.iter().map(status_char).collect(),
+            diameters: self
+                .regions
+                .iter()
+                .map(UncertaintyRegion::diameter)
+                .collect(),
+        });
+        self.emit(|| self.tracer.end_event(&span));
+    }
+
+    /// Selection (Algorithm 1, lines 10–11): a diverse batch of the
+    /// longest-diameter active candidates (`select_batch`; at batch size
+    /// 1 this is exactly Eq. 13's argmax), evaluated as one wave. When a
+    /// selected candidate exhausts its failure budget it is quarantined,
+    /// and the iteration re-selects from the remaining eligible
+    /// candidates (each fallback wave gets its own selection event), so
+    /// injected faults cost retries, not iterations.
+    ///
+    /// Returns whether the loop should stop after this iteration: every
+    /// candidate is decided, or nothing informative is left to measure.
+    /// Either way the iteration is still recorded and checkpointed, so a
+    /// resumed run can skip straight past it.
+    fn select_and_evaluate(&mut self, it: &mut Iteration) -> Result<bool> {
+        if it.counts.0 == 0 {
+            return Ok(true);
+        }
+        let mut want = self.config.batch_size;
+        let mut selected_any = false;
+        while want > 0 {
+            // Allocated before the emptiness check so replayed and live
+            // executions of the same wave agree on span IDs; an empty
+            // wave's span is simply never emitted.
+            let span = self.tracer.open("select", Some(&it.span));
+            let picks = select_batch(
+                &self.candidates,
+                &self.regions,
+                &self.statuses,
+                &self.evaluated_flag,
+                want,
+                self.config.batch_diversity,
+                self.config.diversity_radius,
+            );
+            if picks.is_empty() {
                 break;
             }
-            iterations = t + 1;
-            let iter_start = Instant::now();
-            let iter_span = tracer.open("iteration", Some(&run_span));
-            let iter_resources = GpCounters::snapshot();
-            if live && observer.enabled() {
-                observer.emit(&iter_span.start_event());
-            }
-            // Attempts logged before this iteration: used to decide
-            // whether this iteration is a valid checkpoint boundary.
-            let log_mark = driver.log.len();
-
-            // ---- model calibration (Algorithm 1, lines 4-6)
-            let fit_phase = Instant::now();
-            let fit_span = tracer.open("gp_fit", Some(&iter_span));
-            if live && observer.enabled() {
-                observer.emit(&fit_span.start_event());
-            }
-            let needs_refit = models_opt.is_none() || t % self.config.refit_every.max(1) == 0;
-            // Set when any objective's calibration fell back to a
-            // last-good model this iteration (degraded mode).
-            let mut iter_degraded = false;
-            if needs_refit {
-                // One shared encoded copy of the evaluated configurations;
-                // each objective's task view only materializes its own
-                // QoR column.
-                let target_x: Arc<Vec<Vec<f64>>> = Arc::new(
-                    evaluated
-                        .iter()
-                        .map(|(i, _)| candidates[*i].clone())
-                        .collect(),
-                );
-                let target_tasks: Vec<TaskData> = (0..n_obj)
-                    .map(|k| {
-                        TaskData::from_shared(
-                            Arc::clone(&target_x),
-                            evaluated.iter().map(|(_, y)| y[k]).collect(),
-                        )
-                    })
-                    .collect();
-                // Pre-draw every objective's restart starts sequentially
-                // (objective order), then fan the independent searches out
-                // across threads: the RNG stream — and therefore the result
-                // — is identical at any thread count.
-                let starts: Vec<Vec<Vec<f64>>> = (0..n_obj)
-                    .map(|_| restart_starts(dim, self.config.fit_budget.restarts, &mut rng))
-                    .collect();
-                let budget = self.config.fit_budget;
-                let fit_threads = self.config.threads.max(1);
-                let restart_threads = (fit_threads / n_obj).max(1);
-                type FitOut = gp::Result<(TransferGp, gp::optimize::FitReport, f64)>;
-                // Injected numerical faults (chaos suites) are decided
-                // here on the coordinator thread — a pure hash of
-                // (iteration, objective) — so the scoped fit workers stay
-                // oblivious to the thread-local plan and replay re-derives
-                // identical decisions.
-                let injected: Vec<Option<gp::GpError>> = (0..n_obj)
-                    .map(|k| supervisor::injected_fault(supervisor::FitStage::Refit, t, k))
-                    .collect();
-                let fit_one = |k: usize| -> FitOut {
-                    if let Some(e) = injected[k].clone() {
-                        return Err(e);
+            selected_any = true;
+            self.emit(|| span.start_event());
+            self.emit(|| {
+                let chosen = picks.iter().map(|p| p.index).collect();
+                let diameters = picks.iter().map(|p| p.diameter).collect();
+                if self.config.batch_size > 1 {
+                    Event::BatchSelect {
+                        iteration: it.t,
+                        q: want,
+                        chosen,
+                        diameters,
+                        scores: picks.iter().map(|p| p.score).collect(),
                     }
-                    let fit_start = Instant::now();
-                    let (m, report) = fit_transfer_gp_from_starts(
-                        &source_tasks[k],
-                        &target_tasks[k],
-                        dim,
-                        budget,
-                        &starts[k],
-                        restart_threads,
-                    )?;
-                    Ok((m, report, fit_start.elapsed().as_secs_f64()))
-                };
-                let outs: Vec<FitOut> = if fit_threads == 1 || n_obj == 1 {
-                    (0..n_obj).map(fit_one).collect()
                 } else {
-                    let mut slots: Vec<Option<FitOut>> = (0..n_obj).map(|_| None).collect();
-                    std::thread::scope(|s| {
-                        let fit_one = &fit_one;
-                        for (k, slot) in slots.iter_mut().enumerate() {
-                            s.spawn(move || *slot = Some(fit_one(k)));
-                        }
-                    });
-                    slots
-                        .into_iter()
-                        .map(|o| o.expect("every fit slot is filled"))
-                        .collect()
-                };
-                // Last-good surrogates, one slot per objective, for the
-                // degraded fallback below. None before the bootstrap fit.
-                let mut prev_models: Vec<Option<TransferGp>> = match models_opt.take() {
-                    Some(v) => v.into_iter().map(Some).collect(),
-                    None => (0..n_obj).map(|_| None).collect(),
-                };
-                let mut models: Vec<TransferGp> = Vec::with_capacity(n_obj);
-                for (k, out) in outs.into_iter().enumerate() {
-                    match out {
-                        Ok((model, report, fit_duration)) => {
-                            if live && observer.enabled() {
-                                let cfg = model.config();
-                                observer.emit(&Event::GpFit {
-                                    iteration: t,
-                                    objective: k,
-                                    refit: true,
-                                    lengthscales: cfg.lengthscales.clone(),
-                                    signal_var: cfg.signal_var,
-                                    noise_target: cfg.noise_target,
-                                    lambda: model.lambda(),
-                                    restarts: report.restarts,
-                                    evals: report.evals,
-                                    cached_evals: report.cached_evals,
-                                    fresh_evals: report.fresh_evals,
-                                    log_marginal: model.log_marginal_likelihood(),
-                                    jitter: model.jitter(),
-                                    duration_s: fit_duration,
-                                });
-                            }
-                            conditioned_upto[k] = evaluated.len();
-                            models.push(model);
-                        }
-                        Err(e) if e.is_recoverable() && prev_models[k].is_some() => {
-                            // Degraded mode: the last-good surrogate for
-                            // this objective absorbs the failure. First
-                            // choice is a data-only refit reusing its
-                            // hyper-parameters (fresh observations still
-                            // enter the model); if that fails too, the
-                            // previous model serves one more iteration
-                            // frozen. A DegradedFit event replaces the
-                            // objective's GpFit, so clean traces are
-                            // untouched.
-                            let prev = prev_models[k].take().expect("just checked");
-                            let fallback = match supervisor::injected_fault(
-                                supervisor::FitStage::Fallback,
-                                t,
-                                k,
-                            ) {
-                                Some(fe) => Err(fe),
-                                None => prev.refit_data_only(
-                                    source_tasks[k].clone(),
-                                    target_tasks[k].clone(),
-                                ),
-                            };
-                            let (model, mode) = match fallback {
-                                Ok(m) => {
-                                    conditioned_upto[k] = evaluated.len();
-                                    (m, DEGRADED_REFIT_REUSED)
-                                }
-                                // Frozen: conditioned_upto[k] stays put, so
-                                // the next successful calibration catches
-                                // this objective up on what it missed.
-                                Err(_) => (prev, DEGRADED_FROZEN),
-                            };
-                            degraded_total += 1;
-                            iter_degraded = true;
-                            last_degraded_cause = e.to_string();
-                            if live && observer.enabled() {
-                                observer.emit(&Event::DegradedFit {
-                                    iteration: t,
-                                    objective: k,
-                                    cause: e.to_string(),
-                                    mode: mode.to_string(),
-                                    consecutive: degraded_streak + 1,
-                                });
-                            }
-                            models.push(model);
-                        }
-                        // Structural failure, or no last-good model to
-                        // degrade to (the bootstrap fit): abort as before.
-                        Err(e) => return Err(e.into()),
+                    Event::Select {
+                        iteration: it.t,
+                        chosen,
+                        diameters,
                     }
                 }
-                models_opt = Some(models);
-            } else {
-                // Warm iteration: extend each persistent surrogate with the
-                // observations made since its factorization — a rank-k
-                // Cholesky append instead of a from-scratch refit. A
-                // numerically rejected extension freezes that objective's
-                // model for this iteration (degraded mode); its
-                // conditioning mark stays put so a later calibration
-                // catches it up.
-                let models = models_opt.as_mut().expect("warm path follows a refit");
-                for (k, model) in models.iter_mut().enumerate() {
-                    let fit_start = Instant::now();
-                    let new_x: Vec<Vec<f64>> = evaluated[conditioned_upto[k]..]
-                        .iter()
-                        .map(|(i, _)| candidates[*i].clone())
-                        .collect();
-                    let new_y: Vec<f64> = evaluated[conditioned_upto[k]..]
-                        .iter()
-                        .map(|(_, y)| y[k])
-                        .collect();
-                    let outcome =
-                        match supervisor::injected_fault(supervisor::FitStage::Condition, t, k) {
-                            Some(e) => Err(e),
-                            None => model.condition_on(&new_x, &new_y),
-                        };
-                    match outcome {
-                        Ok(()) => {
-                            conditioned_upto[k] = evaluated.len();
-                            if live && observer.enabled() {
-                                let cfg = model.config();
-                                observer.emit(&Event::GpFit {
-                                    iteration: t,
-                                    objective: k,
-                                    refit: false,
-                                    lengthscales: cfg.lengthscales.clone(),
-                                    signal_var: cfg.signal_var,
-                                    noise_target: cfg.noise_target,
-                                    lambda: model.lambda(),
-                                    restarts: 0,
-                                    evals: 0,
-                                    cached_evals: 0,
-                                    fresh_evals: 0,
-                                    log_marginal: model.log_marginal_likelihood(),
-                                    jitter: model.jitter(),
-                                    duration_s: fit_start.elapsed().as_secs_f64(),
-                                });
-                            }
+            });
+            self.emit(|| self.tracer.end_event(&span));
+            let members: Vec<usize> = picks.iter().map(|p| p.index).collect();
+            let outs = self.evaluate_wave(&members, it.t, &it.span, true)?;
+            for (&i, out) in members.iter().zip(outs) {
+                match out.qor {
+                    Some(y) => {
+                        self.regions[i].collapse_to(&y);
+                        self.evaluated_flag[i] = true;
+                        self.obs_span.absorb(&y);
+                        self.evaluated.push((i, y));
+                        want -= 1;
+                    }
+                    None => {
+                        // A selected candidate is Undecided or Pareto,
+                        // but the match is total for safety.
+                        match self.statuses[i] {
+                            Status::Undecided => it.counts.0 -= 1,
+                            Status::Pareto => it.counts.1 -= 1,
+                            Status::Dropped => it.counts.2 -= 1,
+                            Status::Quarantined => it.counts.3 -= 1,
                         }
-                        Err(e) if e.is_recoverable() => {
-                            // `condition_on` leaves the model untouched on
-                            // error, so "frozen" needs no restore step.
-                            degraded_total += 1;
-                            iter_degraded = true;
-                            last_degraded_cause = e.to_string();
-                            if live && observer.enabled() {
-                                observer.emit(&Event::DegradedFit {
-                                    iteration: t,
-                                    objective: k,
-                                    cause: e.to_string(),
-                                    mode: DEGRADED_FROZEN.to_string(),
-                                    consecutive: degraded_streak + 1,
-                                });
-                            }
-                        }
-                        Err(e) => return Err(e.into()),
+                        it.counts.3 += 1;
+                        self.quarantine(it.t, i, out.attempts);
                     }
                 }
             }
-            if iter_degraded {
-                degraded_streak += 1;
-                if degraded_streak > self.config.degraded_fit_budget {
-                    return Err(TunerError::DegradationBudgetExhausted {
-                        consecutive: degraded_streak,
-                        cause: std::mem::take(&mut last_degraded_cause),
-                    });
-                }
-            } else {
-                degraded_streak = 0;
-            }
-            let gp_fit_s = fit_phase.elapsed().as_secs_f64();
-            if live && observer.enabled() {
-                observer.emit(&tracer.end_event(&fit_span));
-            }
-            let models = models_opt.as_ref().expect("models exist past fitting");
+        }
+        Ok(!selected_any)
+    }
 
-            // Predict boxes for active, un-evaluated candidates — through
-            // the exact posterior, or the subset-of-data path once the
-            // training set outgrows `sod_threshold`. Subset predictors
-            // are rebuilt from the freshly fitted/conditioned models each
-            // iteration, so they never lag the exact posterior's data.
-            let predict_phase = Instant::now();
-            let train_size = source.len() + evaluated.len();
-            let sod: Option<Vec<SubsetPredictor>> = if train_size > self.config.sod_threshold {
-                Some(
-                    models
-                        .iter()
-                        .map(|m| m.subset_predictor(self.config.sod_subset))
-                        .collect::<gp::Result<_>>()?,
-                )
-            } else {
-                None
-            };
-            let surrogates = match &sod {
-                Some(preds) => Surrogates::Subset(preds),
-                None => Surrogates::Exact(models),
-            };
-            let active: Vec<usize> = (0..candidates.len())
-                .filter(|&i| statuses[i].is_active() && !evaluated_flag[i])
-                .collect();
-            // PredictMode is only in the trace when the SoD feature is
-            // actually configured — legacy traces stay byte-identical.
-            if live && observer.enabled() && self.config.sod_threshold != usize::MAX {
-                observer.emit(&Event::PredictMode {
-                    iteration: t,
-                    train_size,
-                    subset_size: sod
-                        .as_ref()
-                        .and_then(|preds| preds.first())
-                        .map_or(train_size, SubsetPredictor::subset_size),
-                    queries: active.len(),
-                    mode: if sod.is_some() { "subset" } else { "exact" }.into(),
-                });
+    /// Appends the iteration to the trajectory and emits its
+    /// `ResourceSample` and `IterationEnd` (with the incremental
+    /// hypervolume of the evaluated set).
+    fn record(&mut self, it: &Iteration) {
+        self.emit(|| {
+            let d = GpCounters::snapshot().since(&it.resources);
+            Event::ResourceSample {
+                iteration: it.t,
+                chol_flops: d.linalg.chol_flops,
+                chol_panels: d.linalg.chol_panels,
+                tri_solve_rhs: d.linalg.tri_solve_rhs,
+                fitcache_hits: d.fitcache_hits,
+                fitcache_misses: d.fitcache_misses,
+                kernel_assemblies: d.kernel_assemblies,
+                predict_cache_hits: d.predict_cache_hits,
+                predict_cache_misses: d.predict_cache_misses,
+                predict_cache_evictions: d.predict_cache_evictions,
+                predict_chunks: d.predict_chunks,
             }
-            // One sweep per iteration: entries untouched since the last
-            // sweep belong to classified/pruned candidates and are
-            // evicted; the active-set and pool-refinement predicts below
-            // share the new stamp.
-            for cache in &mut predict_caches {
-                cache.begin_sweep();
+        });
+        let (undecided, pareto, dropped, quarantined) = it.counts;
+        let row = IterationRecord {
+            iteration: it.t,
+            undecided,
+            pareto,
+            dropped,
+            quarantined,
+            runs: self.driver.runs(),
+            duration_s: it.start.elapsed().as_secs_f64(),
+            gp_fit_s: it.gp_fit_s,
+            predict_s: it.predict_s,
+        };
+        self.emit(|| {
+            let pts: Vec<Vec<f64>> = self.evaluated.iter().map(|(_, y)| y.clone()).collect();
+            Event::IterationEnd {
+                iteration: row.iteration,
+                runs: row.runs,
+                pareto,
+                dropped,
+                undecided,
+                hypervolume: pareto::hypervolume::hypervolume(&pts, &self.hv_reference)
+                    .unwrap_or(0.0),
+                duration_s: row.duration_s,
+                gp_fit_s: row.gp_fit_s,
+                predict_s: row.predict_s,
             }
-            let boxes = predict_boxes(
-                &surrogates,
-                &candidates,
-                &active,
-                self.config.tau,
-                predict_workers,
-                self.config.predict_block,
-                &mut predict_caches,
-            )?;
-            for (pos, &i) in active.iter().enumerate() {
-                let (lo, hi) = &boxes[pos];
-                regions[i].intersect(lo, hi);
-            }
+        });
+        self.history.push(row);
+    }
 
-            // ---- adaptive refinement: split the cells whose
-            // representative's region stayed wide relative to the cell
-            // itself, then box the new representatives immediately so this
-            // iteration's classification and selection see them.
-            if let Some(pool) = pool.as_mut() {
-                let before = candidates.len();
-                let outcome = pool.refine(
-                    &mut candidates,
-                    &regions,
-                    &statuses,
-                    self.config.pool_refine_scale,
-                    self.config.pool_refine_ceiling,
-                    self.config.pool_max_refines,
-                    self.config.pool_max_size,
-                );
-                if outcome.splits > 0 {
-                    for _ in before..candidates.len() {
-                        regions.push(UncertaintyRegion::unbounded(n_obj));
-                        statuses.push(Status::Undecided);
-                        evaluated_flag.push(false);
-                    }
-                    let fresh: Vec<usize> = (before..candidates.len()).collect();
-                    let fresh_boxes = predict_boxes(
-                        &surrogates,
-                        &candidates,
-                        &fresh,
-                        self.config.tau,
-                        predict_workers,
-                        self.config.predict_block,
-                        &mut predict_caches,
-                    )?;
-                    for (pos, &i) in fresh.iter().enumerate() {
-                        let (lo, hi) = &fresh_boxes[pos];
-                        regions[i].intersect(lo, hi);
-                    }
-                }
-                if live && observer.enabled() {
-                    observer.emit(&Event::PoolRefine {
-                        iteration: t,
-                        splits: outcome.splits,
-                        leaves: outcome.leaves,
-                        pool_size: candidates.len(),
-                        effective_pool: outcome.effective_pool,
-                    });
-                }
-            }
-            let predict_s = predict_phase.elapsed().as_secs_f64();
-
-            // ---- decision-making (lines 7-9)
-            let classify_span = tracer.open("classify", Some(&iter_span));
-            classify(&regions, &mut statuses, &delta);
-            // Counted once per iteration here, then maintained through the
-            // quarantine transitions below — `IterationEnd` and the
-            // history row never re-scan the status vector.
-            let mut counts = status_counts(&statuses);
-            if live && observer.enabled() {
-                observer.emit(&classify_span.start_event());
-                observer.emit(&Event::Classify {
-                    iteration: t,
-                    pareto: counts.1,
-                    dropped: counts.2,
-                    undecided: counts.0,
-                    delta: delta.clone(),
-                });
-                observer.emit(&Event::RegionSnapshot {
-                    iteration: t,
-                    statuses: statuses.iter().map(status_char).collect(),
-                    diameters: regions.iter().map(UncertaintyRegion::diameter).collect(),
-                });
-                observer.emit(&tracer.end_event(&classify_span));
-            }
-
-            // When classification just settled the last undecided
-            // candidate (or selection below finds nothing informative to
-            // measure), the iteration is still recorded and checkpointed
-            // like any other before the loop stops, so a resumed run can
-            // skip straight past it.
-            let mut stop = counts.0 == 0;
-
-            // ---- selection (lines 10-11): a diverse batch of the
-            // longest-diameter active candidates (`select_batch`; at
-            // batch size 1 this is exactly Eq. 13's argmax), evaluated as
-            // one concurrent wave. When a selected candidate exhausts its
-            // failure budget it is quarantined, and the iteration falls
-            // back to re-selecting from the remaining eligible candidates
-            // within the same iteration (each fallback wave gets its own
-            // selection event), so injected faults cost retries, not
-            // iterations.
-            let mut want = self.config.batch_size;
-            let mut selected_any = false;
-            while !stop && want > 0 {
-                // Allocated before the emptiness check so replayed and
-                // live executions of the same wave agree on span IDs; an
-                // empty wave's span is simply never emitted.
-                let select_span = tracer.open("select", Some(&iter_span));
-                let picks = select_batch(
-                    &candidates,
-                    &regions,
-                    &statuses,
-                    &evaluated_flag,
-                    want,
-                    self.config.batch_diversity,
-                    self.config.diversity_radius,
-                );
-                if picks.is_empty() {
-                    break;
-                }
-                selected_any = true;
-                if live && observer.enabled() {
-                    observer.emit(&select_span.start_event());
-                    if self.config.batch_size > 1 {
-                        observer.emit(&Event::BatchSelect {
-                            iteration: t,
-                            q: want,
-                            chosen: picks.iter().map(|p| p.index).collect(),
-                            diameters: picks.iter().map(|p| p.diameter).collect(),
-                            scores: picks.iter().map(|p| p.score).collect(),
-                        });
-                    } else {
-                        observer.emit(&Event::Select {
-                            iteration: t,
-                            chosen: picks.iter().map(|p| p.index).collect(),
-                            diameters: picks.iter().map(|p| p.diameter).collect(),
-                        });
-                    }
-                    observer.emit(&tracer.end_event(&select_span));
-                }
-                let members: Vec<usize> = picks.iter().map(|p| p.index).collect();
-                let outs = {
-                    let ctx = WaveCtx {
-                        iteration: t,
-                        candidates: &candidates,
-                        n_obj: Some(n_obj),
-                        gate: Some((&regions, &obs_span, self.config.outlier_gate)),
-                    };
-                    evaluate_wave(
-                        &mut driver,
-                        &members,
-                        &ctx,
-                        &self.config,
-                        observer.enabled(),
-                        &mut |e| observer.emit(&e),
-                        &tracer,
-                        &iter_span,
-                    )?
-                };
-                for (&i, out) in members.iter().zip(outs) {
-                    eval_retries += out.attempts.saturating_sub(1);
-                    eval_failures += out.failures;
-                    match out.qor {
-                        Some(y) => {
-                            regions[i].collapse_to(&y);
-                            evaluated_flag[i] = true;
-                            obs_span.absorb(&y);
-                            evaluated.push((i, y));
-                            want -= 1;
-                        }
-                        None => {
-                            // Maintain the once-per-iteration counts
-                            // through the status transition (a selected
-                            // candidate is Undecided or Pareto, but the
-                            // match is total for safety).
-                            match statuses[i] {
-                                Status::Undecided => counts.0 -= 1,
-                                Status::Pareto => counts.1 -= 1,
-                                Status::Dropped => counts.2 -= 1,
-                                Status::Quarantined => counts.3 -= 1,
-                            }
-                            counts.3 += 1;
-                            statuses[i] = Status::Quarantined;
-                            quarantined_order.push(i);
-                            if !out.replayed && observer.enabled() {
-                                observer.emit(&Event::CandidateQuarantined {
-                                    iteration: t,
-                                    candidate: i,
-                                    attempts: out.attempts,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            if !stop && !selected_any {
-                // Everything informative has been measured.
-                stop = true;
-            }
-
-            if live && observer.enabled() {
-                let d = GpCounters::snapshot().since(&iter_resources);
-                observer.emit(&Event::ResourceSample {
-                    iteration: t,
-                    chol_flops: d.linalg.chol_flops,
-                    chol_panels: d.linalg.chol_panels,
-                    tri_solve_rhs: d.linalg.tri_solve_rhs,
-                    fitcache_hits: d.fitcache_hits,
-                    fitcache_misses: d.fitcache_misses,
-                    kernel_assemblies: d.kernel_assemblies,
-                    predict_cache_hits: d.predict_cache_hits,
-                    predict_cache_misses: d.predict_cache_misses,
-                    predict_cache_evictions: d.predict_cache_evictions,
-                    predict_chunks: d.predict_chunks,
-                });
-            }
-
-            let ctx = IterationOutcome {
-                iteration: t,
-                runs: driver.runs(),
-                duration_s: iter_start.elapsed().as_secs_f64(),
-                gp_fit_s,
-                predict_s,
-            };
-            record(
-                observer,
-                live,
-                &mut history,
-                counts,
-                &evaluated,
-                &hv_reference,
-                ctx,
-            );
-
-            // Persist the full resumable state at the iteration boundary.
-            // Live iterations only (replayed ones would rewrite what the
-            // checkpoint already holds), and only iterations that logged
-            // at least one attempt: resume replays the eval log, so the
-            // log must drain exactly at the checkpointed boundary — an
-            // eval-less iteration would drain one iteration early and
-            // fail state verification.
-            // The span is allocated whenever this iteration *would*
-            // checkpoint — `driver.log.len() > log_mark` holds equally
-            // during replay, so resumed runs re-derive the same IDs.
-            let ckpt_span = if store.is_some() && driver.log.len() > log_mark {
-                Some(tracer.open("checkpoint", Some(&iter_span)))
-            } else {
-                None
-            };
-            if let (Some(store), Some((candidates_digest, src_digest)), true) =
-                (store, digests, live && driver.log.len() > log_mark)
-            {
+    /// Persists the full resumable state at the iteration boundary, then
+    /// closes the iteration span. Only live iterations write (replayed
+    /// ones would rewrite what the checkpoint already holds), and only
+    /// iterations that logged at least one attempt: resume replays the
+    /// log, so it must drain exactly at a checkpointed boundary — an
+    /// eval-less iteration would drain one iteration early and fail
+    /// state verification.
+    fn checkpoint(&mut self, it: &Iteration) -> Result<()> {
+        let logged = self.driver.log.len() > it.log_mark;
+        if let Some((store, candidates_digest, source_digest)) = self.store.filter(|_| logged) {
+            // Allocated whenever this iteration *would* checkpoint — the
+            // log grows during replay too — so resumed runs re-derive the
+            // same span IDs.
+            let span = self.tracer.open("checkpoint", Some(&it.span));
+            if self.live {
                 let mut checkpoint = Checkpoint {
                     version: CHECKPOINT_VERSION,
-                    next_iteration: t + 1,
+                    next_iteration: it.t + 1,
                     config: self.config.clone(),
                     candidates_digest,
-                    source_digest: src_digest,
-                    eval_log: driver.log.clone(),
+                    source_digest,
+                    eval_log: self.driver.log.clone(),
                     snapshot: StateSnapshot {
-                        statuses: statuses.iter().map(status_char).collect(),
-                        evaluated: evaluated.len(),
-                        runs: driver.runs(),
-                        rng_state: rng.state().to_vec(),
-                        delta: delta.clone(),
-                        regions: regions.clone(),
-                        history: history.clone(),
-                        degraded_fits: degraded_total,
+                        statuses: self.statuses.iter().map(status_char).collect(),
+                        evaluated: self.evaluated.len(),
+                        runs: self.driver.runs(),
+                        rng_state: self.rng.state().to_vec(),
+                        delta: self.delta.clone(),
+                        regions: self.regions.clone(),
+                        history: self.history.clone(),
+                        degraded_fits: self.degraded_total,
                     },
                     digest: 0,
                 };
@@ -1624,149 +1585,32 @@ impl PpaTuner {
                     .map_err(|e| TunerError::Checkpoint {
                         reason: e.to_string(),
                     })?;
-                if observer.enabled() {
-                    if let Some(span) = &ckpt_span {
-                        observer.emit(&span.start_event());
-                    }
-                    observer.emit(&Event::Checkpoint {
-                        iteration: t,
-                        runs: driver.runs(),
-                        evals_logged: driver.log.len(),
-                    });
-                    if let Some(span) = &ckpt_span {
-                        observer.emit(&tracer.end_event(span));
-                    }
-                }
-            }
-            if live && observer.enabled() {
-                observer.emit(&tracer.end_event(&iter_span));
-            }
-            if stop {
-                break;
+                self.emit(|| span.start_event());
+                self.emit(|| Event::Checkpoint {
+                    iteration: it.t,
+                    runs: self.driver.runs(),
+                    evals_logged: self.driver.log.len(),
+                });
+                self.emit(|| self.tracer.end_event(&span));
             }
         }
+        self.emit(|| self.tracer.end_event(&it.span));
+        Ok(())
+    }
 
+    /// Closing step of the paper's flow: a final classification, then the
+    /// predicted Pareto set is fed through the PD tool for verification,
+    /// and the answer is the non-dominated subset on golden values.
+    fn finish(mut self) -> Result<TuneResult> {
         // A run that completed before being checkpointed again replays
         // its whole loop; whatever follows (verification) is live work.
-        if !live && !driver.replaying() {
-            live = true;
+        if !self.driver.replaying() {
+            self.live = true;
         }
-
-        // Final classification pass so late evaluations settle the sets.
-        classify(&regions, &mut statuses, &delta);
-        let search_runs = driver.runs();
-
-        // Closing step of the paper's flow: the predicted Pareto set is
-        // fed through the PD tool for verification. Candidate set = the
-        // classified Pareto members plus the measured front; verification
-        // evaluates any member not yet measured, and the final answer is
-        // the non-dominated subset on golden values.
-        let mut final_candidates: Vec<usize> = (0..candidates.len())
-            .filter(|&i| statuses[i] == Status::Pareto)
-            .collect();
-        // When the loop stopped before full classification, add the
-        // surrogate's predicted front over the still-active candidates.
-        if self.config.include_predicted_front {
-            if let Some(models) = &models_opt {
-                let undecided: Vec<usize> = (0..candidates.len())
-                    .filter(|&i| statuses[i] == Status::Undecided && !evaluated_flag[i])
-                    .collect();
-                if !undecided.is_empty() {
-                    let queries: Vec<Vec<f64>> =
-                        undecided.iter().map(|&i| candidates[i].clone()).collect();
-                    let mut mus: Vec<Vec<f64>> = vec![Vec::with_capacity(n_obj); undecided.len()];
-                    for model in models {
-                        for (q, (mu, _)) in model
-                            .predict_latent_batch_par(
-                                &queries,
-                                self.config.predict_block,
-                                predict_workers,
-                            )?
-                            .into_iter()
-                            .enumerate()
-                        {
-                            mus[q].push(mu);
-                        }
-                    }
-                    for j in pareto::front::pareto_front(&mus) {
-                        let idx = undecided[j];
-                        if !final_candidates.contains(&idx) {
-                            final_candidates.push(idx);
-                        }
-                    }
-                }
-            }
-        }
-        {
-            let pts: Vec<Vec<f64>> = evaluated.iter().map(|(_, y)| y.clone()).collect();
-            for j in pareto::front::pareto_front(&pts) {
-                let idx = evaluated[j].0;
-                if !final_candidates.contains(&idx) {
-                    final_candidates.push(idx);
-                }
-            }
-        }
-        // Verification evaluates unmeasured members in batch-sized waves
-        // (same fan-out as the loop); `truth` keeps `final_candidates`
-        // order regardless of the chunking.
-        let mut truth_vals: Vec<Option<Vec<f64>>> = Vec::with_capacity(final_candidates.len());
-        let mut to_verify: Vec<(usize, usize)> = Vec::new();
-        for (slot, &i) in final_candidates.iter().enumerate() {
-            match evaluated.iter().find(|(j, _)| *j == i) {
-                Some((_, y)) => truth_vals.push(Some(y.clone())),
-                None => {
-                    truth_vals.push(None);
-                    to_verify.push((slot, i));
-                }
-            }
-        }
-        for chunk in to_verify.chunks(self.config.batch_size.max(1)) {
-            let members: Vec<usize> = chunk.iter().map(|&(_, i)| i).collect();
-            let outs = {
-                let ctx = WaveCtx {
-                    iteration: iterations,
-                    candidates: &candidates,
-                    n_obj: Some(n_obj),
-                    gate: Some((&regions, &obs_span, self.config.outlier_gate)),
-                };
-                evaluate_wave(
-                    &mut driver,
-                    &members,
-                    &ctx,
-                    &self.config,
-                    observer.enabled(),
-                    &mut |e| observer.emit(&e),
-                    &tracer,
-                    &run_span,
-                )?
-            };
-            for (&(slot, i), out) in chunk.iter().zip(outs) {
-                eval_retries += out.attempts.saturating_sub(1);
-                eval_failures += out.failures;
-                match out.qor {
-                    Some(y) => truth_vals[slot] = Some(y),
-                    None => {
-                        // A predicted-front member we could not verify:
-                        // exclude it from the reported set rather than
-                        // vouching for an unmeasured point.
-                        statuses[i] = Status::Quarantined;
-                        quarantined_order.push(i);
-                        if !out.replayed && observer.enabled() {
-                            observer.emit(&Event::CandidateQuarantined {
-                                iteration: iterations,
-                                candidate: i,
-                                attempts: out.attempts,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let truth: Vec<(usize, Vec<f64>)> = final_candidates
-            .iter()
-            .zip(truth_vals)
-            .filter_map(|(&i, v)| v.map(|y| (i, y)))
-            .collect();
+        decision::classify(&self.regions, &mut self.statuses, &self.delta);
+        let search_runs = self.driver.runs();
+        let final_candidates = self.final_candidates()?;
+        let truth = self.verify(&final_candidates)?;
         let pts: Vec<Vec<f64>> = truth.iter().map(|(_, y)| y.clone()).collect();
         let pareto_indices: Vec<usize> = pareto::front::pareto_front(&pts)
             .into_iter()
@@ -1776,28 +1620,392 @@ impl PpaTuner {
         let result = TuneResult {
             pareto_indices,
             runs: search_runs,
-            verification_runs: driver.runs() - search_runs,
-            iterations,
-            history,
-            delta,
-            evaluated,
-            quarantined: quarantined_order,
-            eval_failures,
-            eval_retries,
-            degraded_fits: degraded_total,
+            verification_runs: self.driver.runs() - search_runs,
+            iterations: self.iterations,
+            history: std::mem::take(&mut self.history),
+            delta: std::mem::take(&mut self.delta),
+            evaluated: std::mem::take(&mut self.evaluated),
+            quarantined: std::mem::take(&mut self.quarantined),
+            eval_failures: self.eval_failures,
+            eval_retries: self.eval_retries,
+            degraded_fits: self.degraded_total,
         };
-        if live && observer.enabled() {
-            observer.emit(&Event::RunEnd {
-                iterations: result.iterations,
-                runs: result.runs,
-                verification_runs: result.verification_runs,
-                pareto: result.pareto_indices.len(),
-                duration_s: run_start.elapsed().as_secs_f64(),
-            });
-            observer.emit(&tracer.end_event(&run_span));
-        }
-        observer.flush();
+        self.emit(|| Event::RunEnd {
+            iterations: result.iterations,
+            runs: result.runs,
+            verification_runs: result.verification_runs,
+            pareto: result.pareto_indices.len(),
+            duration_s: self.run_start.elapsed().as_secs_f64(),
+        });
+        self.emit(|| self.tracer.end_event(&self.run_span));
+        self.observer.flush();
         Ok(result)
+    }
+
+    /// The verification candidates: the classified Pareto members, plus —
+    /// when the loop stopped before full classification — the surrogate's
+    /// predicted front over the still-active candidates, plus the
+    /// measured front.
+    fn final_candidates(&self) -> Result<Vec<usize>> {
+        let n = self.candidates.len();
+        let mut out: Vec<usize> = (0..n)
+            .filter(|&i| self.statuses[i] == Status::Pareto)
+            .collect();
+        let mut add = |idx: usize| {
+            if !out.contains(&idx) {
+                out.push(idx);
+            }
+        };
+        if let (true, Some(models)) = (self.config.include_predicted_front, &self.models) {
+            let undecided: Vec<usize> = (0..n)
+                .filter(|&i| self.statuses[i] == Status::Undecided && !self.evaluated_flag[i])
+                .collect();
+            if !undecided.is_empty() {
+                let queries: Vec<Vec<f64>> = undecided
+                    .iter()
+                    .map(|&i| self.candidates[i].clone())
+                    .collect();
+                let mut mus: Vec<Vec<f64>> = vec![Vec::with_capacity(self.n_obj); undecided.len()];
+                for model in models {
+                    let preds = model.predict_latent_batch_par(
+                        &queries,
+                        self.config.predict_block,
+                        self.predict_workers,
+                    )?;
+                    for (q, (mu, _)) in preds.into_iter().enumerate() {
+                        mus[q].push(mu);
+                    }
+                }
+                for j in pareto::front::pareto_front(&mus) {
+                    add(undecided[j]);
+                }
+            }
+        }
+        let pts: Vec<Vec<f64>> = self.evaluated.iter().map(|(_, y)| y.clone()).collect();
+        for j in pareto::front::pareto_front(&pts) {
+            add(self.evaluated[j].0);
+        }
+        Ok(out)
+    }
+
+    /// Measures every not-yet-evaluated member of `final_candidates` in
+    /// batch-sized waves (the loop's fan-out) and returns the measured
+    /// `(candidate, QoR)` pairs in `final_candidates` order. A member that
+    /// cannot be verified is quarantined and left out rather than vouched
+    /// for unmeasured.
+    fn verify(&mut self, final_candidates: &[usize]) -> Result<Vec<(usize, Vec<f64>)>> {
+        let mut truth: Vec<Option<Vec<f64>>> = Vec::with_capacity(final_candidates.len());
+        let mut to_verify: Vec<(usize, usize)> = Vec::new();
+        for (slot, &i) in final_candidates.iter().enumerate() {
+            match self.evaluated.iter().find(|(j, _)| *j == i) {
+                Some((_, y)) => truth.push(Some(y.clone())),
+                None => {
+                    truth.push(None);
+                    to_verify.push((slot, i));
+                }
+            }
+        }
+        let run_span = self.run_span.clone();
+        for chunk in to_verify.chunks(self.config.batch_size.max(1)) {
+            let members: Vec<usize> = chunk.iter().map(|&(_, i)| i).collect();
+            let outs = self.evaluate_wave(&members, self.iterations, &run_span, true)?;
+            for (&(slot, i), out) in chunk.iter().zip(outs) {
+                match out.qor {
+                    Some(y) => truth[slot] = Some(y),
+                    None => self.quarantine(self.iterations, i, out.attempts),
+                }
+            }
+        }
+        Ok(final_candidates
+            .iter()
+            .zip(truth)
+            .filter_map(|(&i, v)| v.map(|y| (i, y)))
+            .collect())
+    }
+
+    /// Quarantines `candidate` after its attempt budget ran out.
+    fn quarantine(&mut self, iteration: usize, candidate: usize, attempts: usize) {
+        self.statuses[candidate] = Status::Quarantined;
+        self.quarantined.push(candidate);
+        self.emit(|| Event::CandidateQuarantined {
+            iteration,
+            candidate,
+            attempts,
+        });
+    }
+
+    /// Evaluates one wave (a batch of distinct candidates) and returns
+    /// each member's outcome, in batch order. Every member's attempt list
+    /// comes from one of two sources and then goes through the same
+    /// [`Session::merge_member`]:
+    ///
+    /// - **Replay** (resume, not yet live): the checkpoint's log. Logs end
+    ///   on iteration — hence whole-wave — boundaries, so a log that runs
+    ///   out inside a wave is replay divergence, not a cue to finish the
+    ///   wave live.
+    /// - **Live**: the members' retry sequences against frozen
+    ///   sanitization inputs ([`WaveCtx`]), in parallel through a
+    ///   [`ConcurrentOracle`] when `eval_workers > 1`, sequentially
+    ///   otherwise. Outcomes, events, span IDs, and the log are identical
+    ///   at any worker count.
+    ///
+    /// `gated` enables the outlier gate (off for the initial design, which
+    /// has no regions yet). At `batch_size > 1` a `batch_eval` span (child
+    /// of `parent`) wraps the member `eval_attempt` spans; at 1 the wave
+    /// is a single member hanging directly under `parent`.
+    fn evaluate_wave(
+        &mut self,
+        members: &[usize],
+        iteration: usize,
+        parent: &OpenSpan,
+        gated: bool,
+    ) -> Result<Vec<RetryOutcome>> {
+        let batch_span =
+            (self.config.batch_size > 1).then(|| self.tracer.open("batch_eval", Some(parent)));
+        let attempt_parent = batch_span.as_ref().unwrap_or(parent);
+        let max_attempts = self.config.max_eval_attempts;
+        let outcomes: Vec<MemberOutcome> = if self.live {
+            if let Some(span) = &batch_span {
+                self.emit(|| span.start_event());
+            }
+            let ctx = WaveCtx {
+                candidates: &self.candidates,
+                n_obj: (self.n_obj > 0).then_some(self.n_obj),
+                gate: gated.then_some((
+                    &self.regions[..],
+                    &self.obs_span,
+                    self.config.outlier_gate,
+                )),
+            };
+            match &mut self.driver.oracle {
+                OracleRef::Concurrent(oracle)
+                    if self.config.eval_workers > 1 && members.len() > 1 =>
+                {
+                    run_wave_parallel(
+                        *oracle,
+                        members,
+                        &ctx,
+                        max_attempts,
+                        self.config.eval_workers,
+                    )
+                }
+                oracle => members
+                    .iter()
+                    .map(|&candidate| {
+                        member_attempts(
+                            |i| oracle.evaluate_at(i, &ctx.candidates[i]),
+                            candidate,
+                            &ctx,
+                            max_attempts,
+                        )
+                    })
+                    .collect(),
+            }
+        } else {
+            members
+                .iter()
+                .map(|&candidate| self.driver.replay_member(candidate, max_attempts))
+                .collect::<Result<_>>()?
+        };
+        let mut outs = Vec::with_capacity(members.len());
+        for (&candidate, member) in members.iter().zip(outcomes) {
+            outs.push(self.merge_member(member, candidate, iteration, attempt_parent)?);
+        }
+        if let Some(span) = &batch_span {
+            self.emit(|| self.tracer.end_event(span));
+        }
+        Ok(outs)
+    }
+
+    /// Merges one member's attempts into the run, in batch order:
+    /// allocates the per-attempt `eval_attempt` span IDs (late, at merge
+    /// time — so IDs are worker-count independent and replay re-derives
+    /// them), appends the attempts to the log, updates the failure
+    /// counters, and emits the attempt events (live members only, through
+    /// the session's gate). A non-transient error — a caller bug such as
+    /// an out-of-range index — aborts the run without being logged.
+    fn merge_member(
+        &mut self,
+        member: MemberOutcome,
+        candidate: usize,
+        iteration: usize,
+        parent: &OpenSpan,
+    ) -> Result<RetryOutcome> {
+        for (k, (outcome, duration_s)) in member.attempts.into_iter().enumerate() {
+            let attempt = k + 1;
+            if attempt > 1 {
+                self.eval_retries += 1;
+                self.emit(|| Event::EvalRetry {
+                    iteration,
+                    candidate,
+                    attempt,
+                    backoff_s: self.config.retry_backoff_s(attempt),
+                });
+            }
+            let span = self.tracer.open("eval_attempt", Some(parent));
+            self.emit(|| span.start_event());
+            if let Err(e) = &outcome {
+                if !e.is_transient() {
+                    return Err(TunerError::Evaluation(e.clone()));
+                }
+            }
+            self.driver.log_attempt(candidate, &outcome);
+            match outcome {
+                Ok(qor) => {
+                    self.emit(|| Event::ToolEval {
+                        iteration,
+                        candidate,
+                        qor: qor.clone(),
+                        duration_s,
+                    });
+                    self.emit(|| self.tracer.end_event(&span));
+                    return Ok(RetryOutcome {
+                        qor: Some(qor),
+                        attempts: attempt,
+                    });
+                }
+                Err(e) => {
+                    self.eval_failures += 1;
+                    // A watchdog-produced timeout — marked by the dedicated
+                    // WATCHDOG_STAGE, unlike real tool timeouts whose
+                    // stages are flow-stage names — is announced right
+                    // before the EvalFailed it explains. `deadline_s` is
+                    // the configured deadline, not wall-clock.
+                    if let EvalError::Timeout { stage, elapsed_s } = &e {
+                        if stage == WATCHDOG_STAGE {
+                            self.emit(|| Event::WatchdogFired {
+                                iteration,
+                                candidate,
+                                attempt,
+                                deadline_s: *elapsed_s,
+                            });
+                        }
+                    }
+                    self.emit(|| Event::EvalFailed {
+                        iteration,
+                        candidate,
+                        attempt,
+                        kind: e.kind().to_string(),
+                        detail: e.to_string(),
+                    });
+                    self.emit(|| self.tracer.end_event(&span));
+                }
+            }
+        }
+        Ok(RetryOutcome {
+            qor: None,
+            attempts: self.config.max_eval_attempts,
+        })
+    }
+
+    /// Compares the state replay re-derived against the checkpoint's
+    /// snapshot; any divergence means the checkpoint does not belong to
+    /// this run (or determinism broke) and live evaluation must not
+    /// proceed.
+    fn verify_resumed(
+        &self,
+        t: usize,
+        next_iteration: usize,
+        snapshot: &StateSnapshot,
+    ) -> Result<()> {
+        let evaluated = self.evaluated.len();
+        let runs = self.driver.runs();
+        let degraded_fits = self.degraded_total;
+        let status_string: String = self.statuses.iter().map(status_char).collect();
+        let mismatch = if t != next_iteration {
+            Some(format!(
+                "replay drained at iteration {t}, checkpoint expected {next_iteration}"
+            ))
+        } else if status_string != snapshot.statuses {
+            Some("candidate statuses diverged from the checkpoint snapshot".into())
+        } else if evaluated != snapshot.evaluated {
+            Some(format!(
+                "replay produced {evaluated} observations, checkpoint recorded {}",
+                snapshot.evaluated
+            ))
+        } else if runs != snapshot.runs {
+            Some(format!(
+                "replay produced {runs} tool runs, checkpoint recorded {} \
+                 (was the oracle fresh?)",
+                snapshot.runs
+            ))
+        } else if self.rng.state().to_vec() != snapshot.rng_state {
+            Some("RNG state diverged from the checkpoint snapshot".into())
+        } else if self.delta != snapshot.delta {
+            Some("δ thresholds diverged from the checkpoint snapshot".into())
+        } else if degraded_fits != snapshot.degraded_fits {
+            Some(format!(
+                "replay produced {degraded_fits} degraded fits, checkpoint recorded {} \
+                 (was the fit-fault plan re-armed?)",
+                snapshot.degraded_fits
+            ))
+        } else {
+            None
+        };
+        match mismatch {
+            Some(reason) => Err(TunerError::Checkpoint { reason }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Greedy maximin selection of `count` initial candidates seeded by a
+/// random pick: the random sampling of the paper with better space
+/// coverage for the same budget.
+fn maximin_design(candidates: &[Vec<f64>], count: usize, rng: &mut StdRng) -> Vec<usize> {
+    let n = candidates.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(rng);
+    let mut picked: Vec<usize> = Vec::with_capacity(count);
+    picked.push(order[0]);
+    let mut dist = vec![f64::INFINITY; n];
+    while picked.len() < count {
+        let last = *picked.last().expect("non-empty");
+        for (i, d) in dist.iter_mut().enumerate() {
+            let dd = sq_dist(&candidates[i], &candidates[last]);
+            if dd < *d {
+                *d = dd;
+            }
+        }
+        let next = (0..n)
+            .filter(|i| !picked.contains(i))
+            .max_by(|&a, &b| {
+                dist[a]
+                    .partial_cmp(&dist[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .expect("candidates remain");
+        picked.push(next);
+    }
+    picked
+}
+
+/// The `GpFit` trace event of objective `objective`'s calibration: a
+/// refit when `report` (the hyper-parameter search's work) is given, a
+/// warm `condition_on` update otherwise.
+fn gp_fit_event(
+    iteration: usize,
+    objective: usize,
+    model: &TransferGp,
+    report: Option<&FitReport>,
+    duration_s: f64,
+) -> Event {
+    let cfg = model.config();
+    Event::GpFit {
+        iteration,
+        objective,
+        refit: report.is_some(),
+        lengthscales: cfg.lengthscales.clone(),
+        signal_var: cfg.signal_var,
+        noise_target: cfg.noise_target,
+        lambda: model.lambda(),
+        restarts: report.map_or(0, |r| r.restarts),
+        evals: report.map_or(0, |r| r.evals),
+        cached_evals: report.map_or(0, |r| r.cached_evals),
+        fresh_evals: report.map_or(0, |r| r.fresh_evals),
+        log_marginal: model.log_marginal_likelihood(),
+        jitter: model.jitter(),
+        duration_s,
     }
 }
 
@@ -1851,21 +2059,12 @@ impl<'a> OracleRef<'a> {
             OracleRef::Concurrent(o) => o.runs(),
         }
     }
-
-    /// The shared handle when true fan-out is possible. Returns the
-    /// full-lifetime reference, so a wave can evaluate through it while
-    /// the driver is otherwise untouched until the merge.
-    fn concurrent_handle(&self) -> Option<&'a dyn ConcurrentOracle> {
-        match self {
-            OracleRef::Serial(_) => None,
-            OracleRef::Concurrent(o) => Some(*o),
-        }
-    }
 }
 
-/// Serves oracle attempts — replaying a checkpoint's evaluation log while
-/// it lasts, live afterwards — and records every outcome (the log IS the
-/// resume script, so failures are recorded too).
+/// Where a wave's attempts come from — the checkpoint's evaluation log
+/// while it lasts, the live oracle afterwards — plus the log of every
+/// attempt merged so far (the log IS the resume script, so failures are
+/// recorded too).
 struct EvalDriver<'a> {
     oracle: OracleRef<'a>,
     replay: VecDeque<EvalRecord>,
@@ -1885,16 +2084,20 @@ impl EvalDriver<'_> {
         self.replayed_runs + self.oracle.runs()
     }
 
-    /// One attempt for `candidate`. Returns the (sanitized) outcome and
-    /// whether it came from the replay log. Non-transient errors
-    /// (out-of-range index) abort the run instead of being logged.
-    fn attempt(
-        &mut self,
-        candidate: usize,
-        x: &[f64],
-        sanitize: &dyn Fn(&[f64]) -> std::result::Result<(), String>,
-    ) -> Result<(std::result::Result<Vec<f64>, EvalError>, bool)> {
-        let (outcome, replayed) = if let Some(rec) = self.replay.pop_front() {
+    /// A replayed member's attempts: the log's records for `candidate`,
+    /// up to the first accepted one or `max_attempts` of them. A record
+    /// for another candidate, or a log that runs out first, means the
+    /// log does not belong to this run.
+    fn replay_member(&mut self, candidate: usize, max_attempts: usize) -> Result<MemberOutcome> {
+        let mut attempts = Vec::with_capacity(1);
+        while attempts.len() < max_attempts {
+            let Some(rec) = self.replay.pop_front() else {
+                return Err(TunerError::Checkpoint {
+                    reason: format!(
+                        "replay divergence: the log ran out, the run requested candidate {candidate}"
+                    ),
+                });
+            };
             if rec.candidate != candidate {
                 return Err(TunerError::Checkpoint {
                     reason: format!(
@@ -1908,38 +2111,16 @@ impl EvalDriver<'_> {
                 EvalOutcome::Accepted { qor } => Ok(qor),
                 EvalOutcome::Failed { error } => Err(error),
             };
-            (outcome, true)
-        } else {
-            let outcome = match self.oracle.evaluate_at(candidate, x) {
-                Ok(y) => match sanitize(&y) {
-                    Ok(()) => Ok(y),
-                    Err(detail) => Err(EvalError::InvalidQor { detail }),
-                },
-                Err(e) => {
-                    if !e.is_transient() {
-                        return Err(TunerError::Evaluation(e));
-                    }
-                    Err(e)
-                }
-            };
-            (outcome, false)
-        };
-        self.log.push(EvalRecord {
-            candidate,
-            outcome: match &outcome {
-                Ok(qor) => EvalOutcome::Accepted { qor: qor.clone() },
-                Err(error) => EvalOutcome::Failed {
-                    error: error.clone(),
-                },
-            },
-        });
-        Ok((outcome, replayed))
+            let accepted = outcome.is_ok();
+            attempts.push((outcome, 0.0));
+            if accepted {
+                break;
+            }
+        }
+        Ok(MemberOutcome { attempts })
     }
 
-    /// Records a live outcome produced outside [`EvalDriver::attempt`]:
-    /// concurrent wave workers evaluate without touching the driver, and
-    /// the deterministic batch-order merge logs their results here.
-    fn record_live(
+    fn log_attempt(
         &mut self,
         candidate: usize,
         outcome: &std::result::Result<Vec<f64>, EvalError>,
@@ -1956,127 +2137,12 @@ impl EvalDriver<'_> {
     }
 }
 
-/// What `evaluate_with_retry` concluded for one candidate.
+/// What one member's attempts concluded.
 struct RetryOutcome {
     /// The accepted QoR, or `None` when the failure budget ran out.
     qor: Option<Vec<f64>>,
     /// Attempts consumed (≥ 1).
     attempts: usize,
-    /// How many of those attempts failed.
-    failures: usize,
-    /// Whether the final attempt was served from the replay log (the
-    /// budget aligns with checkpoint boundaries, so a retry sequence is
-    /// replayed in full or not at all).
-    replayed: bool,
-}
-
-/// Emits `WatchdogFired` directly before the `EvalFailed` it explains,
-/// when (and only when) the failure is a watchdog-produced timeout — the
-/// dedicated [`WATCHDOG_STAGE`] marker distinguishes it from real tool
-/// timeouts, whose stages are flow-stage names. Like `EvalFailed`, the
-/// event is created at the deterministic batch-order merge, so traces
-/// stay worker-count-invariant; `elapsed_s` is the configured deadline,
-/// not wall-clock.
-fn emit_watchdog_fired(
-    e: &EvalError,
-    iteration: usize,
-    candidate: usize,
-    attempt: usize,
-    emit: &mut dyn FnMut(Event),
-) {
-    if let EvalError::Timeout { stage, elapsed_s } = e {
-        if stage == WATCHDOG_STAGE {
-            emit(Event::WatchdogFired {
-                iteration,
-                candidate,
-                attempt,
-                deadline_s: *elapsed_s,
-            });
-        }
-    }
-}
-
-/// Runs one candidate's evaluation with up to `max_eval_attempts`
-/// attempts, sanitizing each result and emitting `EvalRetry`,
-/// `EvalFailed`, `ToolEval`, and per-attempt `eval_attempt` span events
-/// for live attempts (replayed attempts were already traced by the
-/// original run, but their span IDs are still allocated so a resumed
-/// run's IDs line up with the interrupted trace).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_with_retry(
-    driver: &mut EvalDriver<'_>,
-    candidate: usize,
-    x: &[f64],
-    iteration: usize,
-    config: &PpaTunerConfig,
-    sanitize: &dyn Fn(&[f64]) -> std::result::Result<(), String>,
-    enabled: bool,
-    emit: &mut dyn FnMut(Event),
-    tracer: &Tracer,
-    parent: &OpenSpan,
-) -> Result<RetryOutcome> {
-    let mut failures = 0;
-    let mut replayed = false;
-    for attempt in 1..=config.max_eval_attempts {
-        // Whether this attempt comes from the replay log is known before
-        // `driver.attempt` runs: a replaying driver replays, a drained
-        // one evaluates live.
-        let live_attempt = enabled && !driver.replaying();
-        if attempt > 1 && live_attempt {
-            emit(Event::EvalRetry {
-                iteration,
-                candidate,
-                attempt,
-                backoff_s: config.retry_backoff_s(attempt),
-            });
-        }
-        let span = tracer.open("eval_attempt", Some(parent));
-        if live_attempt {
-            emit(span.start_event());
-        }
-        let start = Instant::now();
-        let (outcome, from_replay) = driver.attempt(candidate, x, sanitize)?;
-        replayed = from_replay;
-        match outcome {
-            Ok(qor) => {
-                if enabled && !from_replay {
-                    emit(Event::ToolEval {
-                        iteration,
-                        candidate,
-                        qor: qor.clone(),
-                        duration_s: start.elapsed().as_secs_f64(),
-                    });
-                    emit(tracer.end_event(&span));
-                }
-                return Ok(RetryOutcome {
-                    qor: Some(qor),
-                    attempts: attempt,
-                    failures,
-                    replayed,
-                });
-            }
-            Err(e) => {
-                failures += 1;
-                if enabled && !from_replay {
-                    emit_watchdog_fired(&e, iteration, candidate, attempt, emit);
-                    emit(Event::EvalFailed {
-                        iteration,
-                        candidate,
-                        attempt,
-                        kind: e.kind().to_string(),
-                        detail: e.to_string(),
-                    });
-                    emit(tracer.end_event(&span));
-                }
-            }
-        }
-    }
-    Ok(RetryOutcome {
-        qor: None,
-        attempts: config.max_eval_attempts,
-        failures,
-        replayed,
-    })
 }
 
 /// Sanitization inputs of one evaluation wave, frozen at wave start.
@@ -2087,7 +2153,6 @@ fn evaluate_with_retry(
 /// matter which worker runs it or in what order — the root of
 /// worker-count invariance.
 struct WaveCtx<'a> {
-    iteration: usize,
     /// The full (possibly pool-grown) candidate list, so workers can hand
     /// each member's coordinates to [`QorOracle::evaluate_at`].
     candidates: &'a [Vec<f64>],
@@ -2110,20 +2175,20 @@ impl WaveCtx<'_> {
     }
 }
 
-/// Raw per-attempt results of one batch member: what a wave worker
-/// produces without touching the driver or the tracer. The deterministic
-/// batch-order merge ([`merge_member`]) later turns them into span IDs,
-/// events, and log records.
+/// Raw per-attempt results of one batch member — produced by a wave
+/// worker without touching the driver or the tracer, or read back from the
+/// replay log. The deterministic batch-order merge
+/// ([`Session::merge_member`]) turns them into span IDs, events, and log
+/// records.
 struct MemberOutcome {
     /// `(outcome, duration_s)` per attempt, in attempt order. Ends early
     /// on the first acceptance or non-transient error.
     attempts: Vec<(std::result::Result<Vec<f64>, EvalError>, f64)>,
 }
 
-/// Runs one member's full retry sequence against `eval` (live only; the
-/// replay path never reaches this). The retry policy — sanitize accepted
-/// QoR, retry transient failures up to the budget, stop on acceptance or
-/// a non-transient error — matches [`evaluate_with_retry`] exactly.
+/// Runs one live member's full retry sequence against `eval`: sanitize
+/// accepted QoR, retry transient failures up to the budget, stop on
+/// acceptance or a non-transient error.
 fn member_attempts(
     mut eval: impl FnMut(usize) -> std::result::Result<Vec<f64>, EvalError>,
     candidate: usize,
@@ -2192,189 +2257,6 @@ fn run_wave_parallel(
                 .expect("every wave slot is filled")
         })
         .collect()
-}
-
-/// Merges one member's raw attempt results into the run, in batch order:
-/// allocates the per-attempt `eval_attempt` span IDs (late, at merge time
-/// — so IDs match the sequential path and are worker-count independent),
-/// emits the attempt events in the classic order, and appends the
-/// outcomes to the driver's log. Event sequence and log contents are
-/// bit-identical to [`evaluate_with_retry`] on the same outcomes.
-#[allow(clippy::too_many_arguments)]
-fn merge_member(
-    driver: &mut EvalDriver<'_>,
-    member: MemberOutcome,
-    candidate: usize,
-    iteration: usize,
-    config: &PpaTunerConfig,
-    enabled: bool,
-    emit: &mut dyn FnMut(Event),
-    tracer: &Tracer,
-    parent: &OpenSpan,
-) -> Result<RetryOutcome> {
-    let mut failures = 0;
-    for (k, (outcome, duration_s)) in member.attempts.into_iter().enumerate() {
-        let attempt = k + 1;
-        if attempt > 1 && enabled {
-            emit(Event::EvalRetry {
-                iteration,
-                candidate,
-                attempt,
-                backoff_s: config.retry_backoff_s(attempt),
-            });
-        }
-        let span = tracer.open("eval_attempt", Some(parent));
-        if enabled {
-            emit(span.start_event());
-        }
-        match outcome {
-            Ok(qor) => {
-                driver.record_live(candidate, &Ok(qor.clone()));
-                if enabled {
-                    emit(Event::ToolEval {
-                        iteration,
-                        candidate,
-                        qor: qor.clone(),
-                        duration_s,
-                    });
-                    emit(tracer.end_event(&span));
-                }
-                return Ok(RetryOutcome {
-                    qor: Some(qor),
-                    attempts: attempt,
-                    failures,
-                    replayed: false,
-                });
-            }
-            Err(e) => {
-                if !e.is_transient() {
-                    // Matches the serial driver: a caller bug aborts the
-                    // run without being logged as an attempt.
-                    return Err(TunerError::Evaluation(e));
-                }
-                driver.record_live(candidate, &Err(e.clone()));
-                failures += 1;
-                if enabled {
-                    emit_watchdog_fired(&e, iteration, candidate, attempt, emit);
-                    emit(Event::EvalFailed {
-                        iteration,
-                        candidate,
-                        attempt,
-                        kind: e.kind().to_string(),
-                        detail: e.to_string(),
-                    });
-                    emit(tracer.end_event(&span));
-                }
-            }
-        }
-    }
-    Ok(RetryOutcome {
-        qor: None,
-        attempts: config.max_eval_attempts,
-        failures,
-        replayed: false,
-    })
-}
-
-/// Evaluates one selection wave (a batch of distinct candidates) and
-/// returns each member's [`RetryOutcome`], in batch order.
-///
-/// - **Replay** (resume): members are served sequentially from the
-///   checkpoint log via the classic retry path. Checkpoints land at
-///   iteration — hence whole-batch — boundaries, so a wave is replayed in
-///   full or not at all.
-/// - **Live**: members run their full retry sequences against frozen
-///   sanitization inputs ([`WaveCtx`]) — in parallel through a
-///   [`ConcurrentOracle`] when `eval_workers > 1`, sequentially otherwise
-///   — and the results are merged in batch order. Outcomes, events, span
-///   IDs, and the evaluation log are identical at any worker count.
-///
-/// At `batch_size > 1` a `batch_eval` span (child of `parent`) wraps the
-/// member `eval_attempt` spans; at 1 the wave is a single member hanging
-/// directly under `parent`, byte-identical to the historical trace.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_wave(
-    driver: &mut EvalDriver<'_>,
-    members: &[usize],
-    ctx: &WaveCtx<'_>,
-    config: &PpaTunerConfig,
-    enabled: bool,
-    emit: &mut dyn FnMut(Event),
-    tracer: &Tracer,
-    parent: &OpenSpan,
-) -> Result<Vec<RetryOutcome>> {
-    let batch_span = if config.batch_size > 1 {
-        Some(tracer.open("batch_eval", Some(parent)))
-    } else {
-        None
-    };
-    let attempt_parent = batch_span.as_ref().unwrap_or(parent);
-    if driver.replaying() {
-        // Per-attempt liveness gating inside `evaluate_with_retry`
-        // handles the boundary exactly like the classic path.
-        let mut outs = Vec::with_capacity(members.len());
-        for &candidate in members {
-            let sanitize = |y: &[f64]| ctx.sanitize(candidate, y);
-            outs.push(evaluate_with_retry(
-                driver,
-                candidate,
-                &ctx.candidates[candidate],
-                ctx.iteration,
-                config,
-                &sanitize,
-                enabled,
-                emit,
-                tracer,
-                attempt_parent,
-            )?);
-        }
-        return Ok(outs);
-    }
-    if enabled {
-        if let Some(span) = &batch_span {
-            emit(span.start_event());
-        }
-    }
-    let outcomes: Vec<MemberOutcome> = match driver.oracle.concurrent_handle() {
-        Some(oracle) if config.eval_workers > 1 && members.len() > 1 => run_wave_parallel(
-            oracle,
-            members,
-            ctx,
-            config.max_eval_attempts,
-            config.eval_workers,
-        ),
-        _ => members
-            .iter()
-            .map(|&candidate| {
-                member_attempts(
-                    |i| driver.oracle.evaluate_at(i, &ctx.candidates[i]),
-                    candidate,
-                    ctx,
-                    config.max_eval_attempts,
-                )
-            })
-            .collect(),
-    };
-    let mut outs = Vec::with_capacity(members.len());
-    for (&candidate, member) in members.iter().zip(outcomes) {
-        outs.push(merge_member(
-            driver,
-            member,
-            candidate,
-            ctx.iteration,
-            config,
-            enabled,
-            emit,
-            tracer,
-            attempt_parent,
-        )?);
-    }
-    if enabled {
-        if let Some(span) = &batch_span {
-            emit(tracer.end_event(span));
-        }
-    }
-    Ok(outs)
 }
 
 /// Running per-objective `[min, max]` of accepted observations, the span
@@ -2491,58 +2373,6 @@ fn recover_checkpoint(
     Ok(recovery.checkpoint)
 }
 
-/// Compares the state replay re-derived against the checkpoint's
-/// snapshot; any divergence means the checkpoint does not belong to this
-/// run (or determinism broke) and live evaluation must not proceed.
-#[allow(clippy::too_many_arguments)]
-fn verify_resumed_state(
-    t: usize,
-    next_iteration: usize,
-    snapshot: &StateSnapshot,
-    statuses: &[Status],
-    evaluated: usize,
-    runs: usize,
-    rng: &StdRng,
-    delta: &[f64],
-    degraded_fits: usize,
-) -> Result<()> {
-    let status_string: String = statuses.iter().map(status_char).collect();
-    let mismatch = if t != next_iteration {
-        Some(format!(
-            "replay drained at iteration {t}, checkpoint expected {next_iteration}"
-        ))
-    } else if status_string != snapshot.statuses {
-        Some("candidate statuses diverged from the checkpoint snapshot".into())
-    } else if evaluated != snapshot.evaluated {
-        Some(format!(
-            "replay produced {evaluated} observations, checkpoint recorded {}",
-            snapshot.evaluated
-        ))
-    } else if runs != snapshot.runs {
-        Some(format!(
-            "replay produced {runs} tool runs, checkpoint recorded {} \
-             (was the oracle fresh?)",
-            snapshot.runs
-        ))
-    } else if rng.state().to_vec() != snapshot.rng_state {
-        Some("RNG state diverged from the checkpoint snapshot".into())
-    } else if delta != snapshot.delta {
-        Some("δ thresholds diverged from the checkpoint snapshot".into())
-    } else if degraded_fits != snapshot.degraded_fits {
-        Some(format!(
-            "replay produced {degraded_fits} degraded fits, checkpoint recorded {} \
-             (was the fit-fault plan re-armed?)",
-            snapshot.degraded_fits
-        ))
-    } else {
-        None
-    };
-    match mismatch {
-        Some(reason) => Err(TunerError::Checkpoint { reason }),
-        None => Ok(()),
-    }
-}
-
 /// A replay that diverges before the drain boundary surfaces as a bare
 /// candidate mismatch, even when the real culprit is a forgotten fault
 /// plan: clean refits produce different models, which select different
@@ -2561,58 +2391,6 @@ fn explain_degraded_divergence(err: TunerError, snapshot_degraded: usize) -> Tun
             }
         }
         other => other,
-    }
-}
-
-/// Timing and bookkeeping of one finished iteration, bundled so `record`
-/// stays below the argument-count lint.
-struct IterationOutcome {
-    iteration: usize,
-    runs: usize,
-    duration_s: f64,
-    gp_fit_s: f64,
-    predict_s: f64,
-}
-
-/// Appends the iteration to the trajectory and emits `IterationEnd` (with
-/// the incremental hypervolume of the evaluated set) to the observer.
-/// `live` is false while a resumed run is replaying already-traced
-/// iterations: history is still rebuilt, events are not re-emitted.
-fn record(
-    observer: &dyn Observer,
-    live: bool,
-    history: &mut Vec<IterationRecord>,
-    counts: (usize, usize, usize, usize),
-    evaluated: &[(usize, Vec<f64>)],
-    hv_reference: &[f64],
-    ctx: IterationOutcome,
-) {
-    let (undecided, pareto, dropped, quarantined) = counts;
-    history.push(IterationRecord {
-        iteration: ctx.iteration,
-        undecided,
-        pareto,
-        dropped,
-        quarantined,
-        runs: ctx.runs,
-        duration_s: ctx.duration_s,
-        gp_fit_s: ctx.gp_fit_s,
-        predict_s: ctx.predict_s,
-    });
-    if live && observer.enabled() {
-        let pts: Vec<Vec<f64>> = evaluated.iter().map(|(_, y)| y.clone()).collect();
-        let hypervolume = pareto::hypervolume::hypervolume(&pts, hv_reference).unwrap_or(0.0);
-        observer.emit(&Event::IterationEnd {
-            iteration: ctx.iteration,
-            runs: ctx.runs,
-            pareto,
-            dropped,
-            undecided,
-            hypervolume,
-            duration_s: ctx.duration_s,
-            gp_fit_s: ctx.gp_fit_s,
-            predict_s: ctx.predict_s,
-        });
     }
 }
 
@@ -3287,6 +3065,41 @@ mod tests {
             sink.count("IterationEnd"),
             full.history.len() - mid_iteration
         );
+    }
+
+    /// Checkpoints land on iteration boundaries, so a log that ends
+    /// inside a wave cannot come from the tuner: replay refuses it as
+    /// divergence instead of finishing the wave live.
+    #[test]
+    fn replay_refuses_a_log_cut_inside_a_wave() {
+        let (candidates, truth) = toy(40);
+        let source = shifted_source(&candidates, &truth);
+        let config = PpaTunerConfig {
+            batch_size: 4,
+            ..slow_config()
+        };
+        let store = CaptureStore::default();
+        let mut oracle = VecOracle::new(truth.clone());
+        PpaTuner::new(config.clone())
+            .run_checkpointed(&source, &candidates, &mut oracle, &NULL_SINK, &store)
+            .unwrap();
+        let mut cut = store.all.borrow()[store.all.borrow().len() / 2].clone();
+        // Drop the last attempt of the checkpointed iteration's last wave
+        // and re-seal, so only the replay itself can object.
+        cut.eval_log.pop();
+        cut.seal();
+        let crash_point = MemoryCheckpointStore::new();
+        crash_point.put(cut);
+        let mut fresh = VecOracle::new(truth);
+        let err = PpaTuner::new(config)
+            .resume(&source, &candidates, &mut fresh, &NULL_SINK, &crash_point)
+            .unwrap_err();
+        match err {
+            TunerError::Checkpoint { reason } => {
+                assert!(reason.starts_with("replay divergence"), "{reason}");
+            }
+            other => panic!("expected replay divergence, got {other:?}"),
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod gen;
 pub mod invariants;
 pub mod reference;
 pub mod refgp;
+pub mod resume;
 pub mod trace;
 
 /// The single shared base seed of the workspace's deterministic tests.

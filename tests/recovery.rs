@@ -6,7 +6,6 @@
 //! watchdog into a deterministic timeout whose trace does not depend on
 //! the worker count.
 
-use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -14,30 +13,13 @@ use std::sync::OnceLock;
 use benchgen::Scenario;
 use pdsim::ObjectiveSpace;
 use ppatuner::{
-    ChainCheckpointStore, Checkpoint, CheckpointError, CheckpointStore, PpaTuner, PpaTunerConfig,
-    SourceData, TuneResult, VecOracle, WatchdogOracle,
+    ChainCheckpointStore, Checkpoint, CheckpointStore, PpaTuner, PpaTunerConfig, SourceData,
+    TuneResult, VecOracle, WatchdogOracle,
 };
 use proptest::prelude::*;
 use testkit::chaos::HangingOracle;
+use testkit::resume::{same_outcome, CaptureStore};
 use testkit::trace::canonical_jsonl;
-
-/// Records every checkpoint the tuner writes, so tests can replay the
-/// save sequence into fresh on-disk chains and crash anywhere.
-#[derive(Default)]
-struct CaptureStore {
-    all: RefCell<Vec<Checkpoint>>,
-}
-
-impl CheckpointStore for CaptureStore {
-    fn save(&self, c: &Checkpoint) -> Result<(), CheckpointError> {
-        self.all.borrow_mut().push(c.clone());
-        Ok(())
-    }
-
-    fn load(&self) -> Result<Option<Checkpoint>, CheckpointError> {
-        Ok(self.all.borrow().last().cloned())
-    }
-}
 
 /// The fault-free reference: one checkpointed run, its golden result, and
 /// every checkpoint it saved, computed once and shared by all tests.
@@ -71,7 +53,7 @@ fn fixture() -> &'static Fixture {
         let golden = PpaTuner::new(config.clone())
             .run_checkpointed(&source, &candidates, &mut oracle, &obs::NULL_SINK, &store)
             .expect("fault-free run succeeds");
-        let checkpoints = store.all.into_inner();
+        let checkpoints = store.checkpoints();
         assert!(
             checkpoints.len() >= 3,
             "run too short to exercise the chain ({} checkpoints)",
@@ -96,26 +78,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
         "ppatuner_recovery_{tag}_{}_{n}",
         std::process::id()
     ))
-}
-
-fn assert_identical(full: &TuneResult, resumed: &TuneResult, label: &str) {
-    assert_eq!(
-        resumed.pareto_indices, full.pareto_indices,
-        "{label}: front"
-    );
-    assert_eq!(resumed.evaluated, full.evaluated, "{label}: evaluated set");
-    assert_eq!(resumed.runs, full.runs, "{label}: runs");
-    assert_eq!(resumed.iterations, full.iterations, "{label}: iterations");
-    assert_eq!(resumed.delta, full.delta, "{label}: final delta");
-    assert_eq!(
-        resumed.degraded_fits, full.degraded_fits,
-        "{label}: degraded fits"
-    );
-    assert_eq!(
-        (resumed.eval_failures, resumed.eval_retries),
-        (full.eval_failures, full.eval_retries),
-        "{label}: failure counters"
-    );
 }
 
 /// Truncating the newest chain entry at every byte boundary — a torn
@@ -185,7 +147,7 @@ fn chain_resume_from_every_kill_point_matches_the_golden_run() {
                 &chain,
             )
             .unwrap_or_else(|e| panic!("resume from kill point {k} failed: {e}"));
-        assert_identical(&f.golden, &resumed, &format!("kill point {k}"));
+        same_outcome(&f.golden, &resumed).unwrap_or_else(|e| panic!("kill point {k}: {e}"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -269,7 +231,7 @@ fn watchdog_timeouts_are_worker_count_invariant() {
 
     let (serial, serial_events) = run(1);
     let (wide, wide_events) = run(4);
-    assert_identical(&serial, &wide, "worker counts");
+    same_outcome(&serial, &wide).unwrap_or_else(|e| panic!("worker counts: {e}"));
     assert!(
         serial.eval_failures > 0,
         "every candidate hangs once; failures must be visible"

@@ -3,33 +3,13 @@
 //! the same `TuneResult` as the uninterrupted run — fault-free or under
 //! deterministic fault injection with a fresh oracle process.
 
-use std::cell::RefCell;
-
 use benchgen::Scenario;
 use pdsim::{FaultPlan, ObjectiveSpace};
 use ppatuner::{
-    Checkpoint, CheckpointError, CheckpointStore, FileCheckpointStore, PpaTuner, PpaTunerConfig,
-    SourceData, TuneResult, VecOracle,
+    CheckpointStore, FileCheckpointStore, PpaTuner, PpaTunerConfig, SourceData, VecOracle,
 };
 use testkit::chaos::FaultyVecOracle;
-
-/// Records every checkpoint the tuner writes so tests can simulate a crash
-/// at any boundary, not just the last one.
-#[derive(Default)]
-struct CaptureStore {
-    all: RefCell<Vec<Checkpoint>>,
-}
-
-impl CheckpointStore for CaptureStore {
-    fn save(&self, c: &Checkpoint) -> Result<(), CheckpointError> {
-        self.all.borrow_mut().push(c.clone());
-        Ok(())
-    }
-
-    fn load(&self) -> Result<Option<Checkpoint>, CheckpointError> {
-        Ok(self.all.borrow().last().cloned())
-    }
-}
+use testkit::resume::{same_outcome, CaptureStore};
 
 struct Setup {
     candidates: Vec<Vec<f64>>,
@@ -56,44 +36,6 @@ fn setup() -> Setup {
     }
 }
 
-fn assert_identical(full: &TuneResult, resumed: &TuneResult, label: &str) {
-    assert_eq!(
-        resumed.pareto_indices, full.pareto_indices,
-        "{label}: front"
-    );
-    assert_eq!(resumed.evaluated, full.evaluated, "{label}: evaluated set");
-    assert_eq!(resumed.runs, full.runs, "{label}: runs");
-    assert_eq!(
-        resumed.verification_runs, full.verification_runs,
-        "{label}: verification runs"
-    );
-    assert_eq!(resumed.iterations, full.iterations, "{label}: iterations");
-    assert_eq!(resumed.delta, full.delta, "{label}: final delta");
-    assert_eq!(resumed.quarantined, full.quarantined, "{label}: quarantine");
-    assert_eq!(
-        (resumed.eval_failures, resumed.eval_retries),
-        (full.eval_failures, full.eval_retries),
-        "{label}: failure counters"
-    );
-    // History rows carry wall-clock timings; compare the structural part.
-    let shape = |r: &TuneResult| -> Vec<(usize, usize, usize, usize, usize, usize)> {
-        r.history
-            .iter()
-            .map(|h| {
-                (
-                    h.iteration,
-                    h.undecided,
-                    h.pareto,
-                    h.dropped,
-                    h.quarantined,
-                    h.runs,
-                )
-            })
-            .collect()
-    };
-    assert_eq!(shape(resumed), shape(full), "{label}: iteration history");
-}
-
 /// Every checkpoint of a fault-free run is a valid crash point: resuming
 /// from each — through an on-disk store, like a real restart would — lands
 /// on the identical final result.
@@ -112,7 +54,7 @@ fn resume_from_every_checkpoint_matches_the_uninterrupted_run() {
         )
         .expect("uninterrupted run succeeds");
 
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     assert!(
         checkpoints.len() >= 2,
         "run too short to exercise resume ({} checkpoints)",
@@ -133,7 +75,7 @@ fn resume_from_every_checkpoint_matches_the_uninterrupted_run() {
                 &file,
             )
             .unwrap_or_else(|e| panic!("resume from checkpoint {k} failed: {e}"));
-        assert_identical(&full, &resumed, &format!("checkpoint {k}"));
+        same_outcome(&full, &resumed).unwrap_or_else(|e| panic!("checkpoint {k}: {e}"));
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -173,7 +115,7 @@ fn resume_replays_faithfully_under_fault_injection() {
         .expect("chaotic run completes");
     assert!(full.eval_failures > 0, "the plan should have injected");
 
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     assert!(checkpoints.len() >= 2);
     for k in [0, checkpoints.len() / 2, checkpoints.len() - 1] {
         let crash_point = CaptureStore::default();
@@ -188,7 +130,7 @@ fn resume_replays_faithfully_under_fault_injection() {
                 &crash_point,
             )
             .unwrap_or_else(|e| panic!("faulty resume from checkpoint {k} failed: {e}"));
-        assert_identical(&full, &resumed, &format!("faulty checkpoint {k}"));
+        same_outcome(&full, &resumed).unwrap_or_else(|e| panic!("faulty checkpoint {k}: {e}"));
     }
 }
 
@@ -241,7 +183,7 @@ fn concurrent_resume_replays_whole_batches_with_identical_spans() {
         "run never batch-selected: {full_shape:?}"
     );
 
-    let checkpoints = store.all.borrow();
+    let checkpoints = store.checkpoints();
     assert!(checkpoints.len() >= 2);
     for (k, ckpt) in checkpoints.iter().enumerate() {
         let crash_point = CaptureStore::default();
@@ -257,7 +199,7 @@ fn concurrent_resume_replays_whole_batches_with_identical_spans() {
                 &crash_point,
             )
             .unwrap_or_else(|e| panic!("batch resume from checkpoint {k} failed: {e}"));
-        assert_identical(&full, &resumed, &format!("batch checkpoint {k}"));
+        same_outcome(&full, &resumed).unwrap_or_else(|e| panic!("batch checkpoint {k}: {e}"));
         let resumed_shape = batch_shape(&resumed_sink.events());
         assert!(
             resumed_shape.len() <= full_shape.len(),
@@ -267,6 +209,84 @@ fn concurrent_resume_replays_whole_batches_with_identical_spans() {
             resumed_shape.as_slice(),
             &full_shape[full_shape.len() - resumed_shape.len()..],
             "checkpoint {k}: resumed batch events are not a suffix of the full trace"
+        );
+    }
+}
+
+/// Resume of a q-batch concurrent run under fault injection: waves carry
+/// retries (flaky members) and quarantines (hard-failing members), and
+/// resuming from every checkpoint with a fresh faulty oracle reproduces
+/// the uninterrupted result, with a canonical trace that is an exact
+/// suffix of the uninterrupted one.
+#[test]
+fn concurrent_resume_replays_failing_waves() {
+    use ppatuner::SharedOracle;
+    use testkit::trace::canonical_jsonl;
+
+    let s = setup();
+    let plan = FaultPlan {
+        seed: 2027,
+        crash_prob: 0.15,
+        timeout_prob: 0.08,
+        nan_prob: 0.04,
+        outlier_prob: 0.03,
+        flaky_max_failures: 2,
+        always_fail: (0..s.candidates.len()).step_by(6).collect(),
+        ..FaultPlan::default()
+    };
+    let config = PpaTunerConfig {
+        batch_size: 4,
+        eval_workers: 2,
+        max_eval_attempts: plan.flaky_max_failures + 1,
+        ..s.config.clone()
+    };
+
+    let store = CaptureStore::default();
+    let oracle = SharedOracle::new(FaultyVecOracle::new(s.truth.clone(), plan.clone()));
+    let full_sink = obs::RecordingSink::new();
+    let full = PpaTuner::new(config.clone())
+        .run_concurrent_checkpointed(&s.source, &s.candidates, &oracle, &full_sink, &store)
+        .expect("chaotic batch run completes");
+    let full_events = full_sink.events();
+    let in_loop = |e: &obs::Event, kind: &str| match e {
+        obs::Event::EvalRetry { iteration, .. } => kind == "retry" && *iteration > 0,
+        obs::Event::CandidateQuarantined { iteration, .. } => {
+            kind == "quarantine" && *iteration > 0
+        }
+        _ => false,
+    };
+    for kind in ["retry", "quarantine"] {
+        assert!(
+            full_events.iter().any(|e| in_loop(e, kind)),
+            "no {kind} inside a selection wave"
+        );
+    }
+    let full_trace = canonical_jsonl(&full_events);
+    let full_lines: Vec<&str> = full_trace.lines().collect();
+
+    let checkpoints = store.checkpoints();
+    assert!(checkpoints.len() >= 2);
+    for (k, ckpt) in checkpoints.iter().enumerate() {
+        let crash_point = CaptureStore::default();
+        crash_point.save(ckpt).unwrap();
+        let fresh = SharedOracle::new(FaultyVecOracle::new(s.truth.clone(), plan.clone()));
+        let resumed_sink = obs::RecordingSink::new();
+        let resumed = PpaTuner::new(config.clone())
+            .resume_concurrent(
+                &s.source,
+                &s.candidates,
+                &fresh,
+                &resumed_sink,
+                &crash_point,
+            )
+            .unwrap_or_else(|e| panic!("faulty batch resume from checkpoint {k} failed: {e}"));
+        same_outcome(&full, &resumed)
+            .unwrap_or_else(|e| panic!("faulty batch checkpoint {k}: {e}"));
+        let resumed_trace = canonical_jsonl(&resumed_sink.events());
+        let resumed_lines: Vec<&str> = resumed_trace.lines().collect();
+        assert!(
+            full_lines.ends_with(&resumed_lines),
+            "checkpoint {k}: resumed trace is not a suffix of the full trace"
         );
     }
 }
