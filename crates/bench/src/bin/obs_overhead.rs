@@ -4,15 +4,22 @@
 //! (`PpaTuner::run`) and observed through the disabled [`obs::NULL_SINK`]
 //! (span IDs are still allocated — a relaxed atomic add per span — but
 //! no event is ever constructed or emitted). The arms are interleaved
-//! `reps` times and the best-of-N times compared; the NullSink time must
-//! stay within 2% of the unobserved one or the process exits nonzero. A
-//! third arm through an enabled [`obs::RecordingSink`] is reported for
-//! context but not asserted — paying for events you asked for is fine.
+//! run by run over `reps` windows of at least [`MIN_SAMPLE_S`] each, and
+//! each arm's fastest run is compared; the NullSink time must stay within
+//! 2% of the unobserved one or the process exits nonzero. A third arm
+//! through an enabled [`obs::RecordingSink`] is reported for context but
+//! not asserted — paying for events you asked for is fine.
 //!
-//! Timing uses `/proc/self/schedstat` (nanosecond on-CPU runtime) when
-//! available: a 2% budget is not measurable with wall clocks on shared
-//! CI runners, where steal time alone exceeds it. Off Linux the check
-//! falls back to `Instant` wall time.
+//! Each run is timed on the monotonic wall clock, and the minimum over
+//! hundreds of runs is the estimate. On a shared host the on-CPU time of
+//! the same single-threaded work has been measured to drift by up to
+//! ~30% between adjacent one-second samples, so one-second averages of
+//! two arms disagree by more than the budget whatever clock takes them.
+//! The fastest run in an interleaved window is the one the drift touched
+//! least, and both arms get the same chances at it. The on-CPU clock of
+//! `/proc/self/schedstat` cannot time single runs: it can advance in
+//! scheduler ticks (steps of ~4 ms have been observed), which is ~15% of
+//! a ~22 ms run.
 //!
 //! Usage: `obs_overhead [seed] [--reps <n>] [--max-ratio <r>]`
 
@@ -20,49 +27,38 @@ use std::time::Instant;
 
 use bench::perfrun::{self, SMOKE_SIZES};
 use bench::BinArgs;
-use obs::{RecordingSink, NULL_SINK};
+use obs::{Observer, RecordingSink, NULL_SINK};
 use ppatuner::TuneResult;
 
-/// Scenario executions per timed sample: batching shrinks the relative
-/// impact of a single scheduler hiccup on a ~25 ms workload.
-const RUNS_PER_SAMPLE: usize = 3;
+/// Run time each arm covers per window: `reps` windows give every arm a
+/// few hundred runs of the ~22 ms scenario to find its fastest run in.
+const MIN_SAMPLE_S: f64 = 1.0;
 
-/// Cumulative on-CPU nanoseconds of this task, from
-/// `/proc/self/schedstat` (first field). Unlike wall time it does not
-/// advance while the scheduler runs someone else, so it is the right
-/// clock for a single-threaded CPU-overhead budget. `None` off Linux.
-fn cpu_ns() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/self/schedstat").ok()?;
-    text.split_whitespace().next()?.parse().ok()
+/// Wall-clock seconds and tool runs (loop plus verification) of one run.
+fn time_run(run: impl FnOnce() -> TuneResult) -> (f64, usize) {
+    let t = Instant::now();
+    let result = run();
+    (
+        t.elapsed().as_secs_f64(),
+        result.runs + result.verification_runs,
+    )
 }
 
-/// Seconds elapsed on the preferred clock (CPU if available, else wall).
-fn clock_pair() -> (Option<u64>, Instant) {
-    (cpu_ns(), Instant::now())
-}
-
-fn elapsed_s(start: &(Option<u64>, Instant)) -> f64 {
-    match (start.0, cpu_ns()) {
-        (Some(a), Some(b)) => (b.saturating_sub(a)) as f64 / 1e9,
-        _ => start.1.elapsed().as_secs_f64(),
-    }
-}
-
-/// Best-of-N timing: the minimum is the standard robust estimator for a
-/// deterministic workload's true cost — every slower sample is the same
-/// work plus cache or interrupt interference.
-fn best_time(reps: usize, mut run: impl FnMut() -> TuneResult) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut runs = 0;
-    for _ in 0..reps {
-        let t = clock_pair();
-        for _ in 0..RUNS_PER_SAMPLE {
-            let result = run();
-            runs = result.runs + result.verification_runs;
+/// Runs per arm and window so that one window covers at least
+/// [`MIN_SAMPLE_S`]: repeats `run` until a tenth of that has elapsed,
+/// then scales the count. Doubles as the warm-up that faults in code and
+/// allocator state before timing.
+fn calibrate(run: impl Fn() -> TuneResult) -> usize {
+    let t = Instant::now();
+    let mut n = 0usize;
+    loop {
+        run();
+        n += 1;
+        let s = t.elapsed().as_secs_f64();
+        if s >= MIN_SAMPLE_S / 10.0 {
+            return ((MIN_SAMPLE_S * n as f64 / s).ceil() as usize).max(1);
         }
-        best = best.min(elapsed_s(&t) / RUNS_PER_SAMPLE as f64);
     }
-    (best, runs)
 }
 
 fn main() {
@@ -86,36 +82,34 @@ fn main() {
         }
     }
     let spec = &SMOKE_SIZES[0];
-
-    // Warm-up: fault in code and allocator state before timing.
-    let _ = perfrun::run_tuner_scenario(spec, args.seed, true, &NULL_SINK);
+    let run =
+        |observer: &dyn Observer| perfrun::run_tuner_scenario(spec, args.seed, true, observer);
+    let per_window = calibrate(|| run(&NULL_SINK));
+    let runs_per_arm = reps.max(1) * per_window;
 
     // The asserted pair. `PpaTuner::run` *is* `run_observed(&NULL_SINK)`
     // — disabled observability is the unobserved path by construction —
     // so the two arms run identical code and this measures the noise
     // floor of the harness itself: span-ID allocation plus whatever the
-    // machine adds. Interleaving A/B/A/B keeps thermal and cache drift
-    // out of the comparison, and a measurement that still lands over
-    // budget is retried from scratch: frequency scaling can shift the
-    // CPU clock mid-pass, and a real regression fails every attempt.
+    // machine adds. Interleaving A/B/A/B run by run gives both arms the
+    // same machine, and a measurement that still lands over budget is
+    // retried from scratch: a real regression fails every attempt.
     let mut plain_s = f64::INFINITY;
     let mut null_s = f64::INFINITY;
+    let mut plain_runs = 0;
     const ATTEMPTS: usize = 4;
     for attempt in 1..=ATTEMPTS {
         // Each attempt measures from scratch: carrying a minimum caught
-        // under one CPU-frequency regime into a slower regime would pin
-        // an asymmetry no amount of re-measuring could undo.
+        // in one regime of the host into the next would pin an asymmetry
+        // no amount of re-measuring could undo.
         let mut a_min = f64::INFINITY;
         let mut b_min = f64::INFINITY;
-        for _ in 0..reps {
-            let (a, _) = best_time(1, || {
-                perfrun::run_tuner_scenario(spec, args.seed, true, &NULL_SINK)
-            });
-            let (b, _) = best_time(1, || {
-                perfrun::run_tuner_scenario(spec, args.seed, true, &NULL_SINK)
-            });
+        for _ in 0..runs_per_arm {
+            let (a, runs) = time_run(|| run(&NULL_SINK));
+            let (b, _) = time_run(|| run(&NULL_SINK));
             a_min = a_min.min(a);
             b_min = b_min.min(b);
+            plain_runs = runs;
         }
         plain_s = a_min;
         null_s = b_min;
@@ -129,16 +123,17 @@ fn main() {
             );
         }
     }
-    let (_, plain_runs) = best_time(1, || {
-        perfrun::run_tuner_scenario(spec, args.seed, true, &NULL_SINK)
-    });
 
     // Enabled-observer cost is reported for context, never asserted:
     // paying for events you asked for is fine.
     let recording = RecordingSink::new();
-    let (observed_s, observed_runs) = best_time(reps, || {
-        perfrun::run_tuner_scenario(spec, args.seed, true, &recording)
-    });
+    let mut observed_s = f64::INFINITY;
+    let mut observed_runs = 0;
+    for _ in 0..runs_per_arm {
+        let (s, runs) = time_run(|| run(&recording));
+        observed_s = observed_s.min(s);
+        observed_runs = runs;
+    }
     assert_eq!(
         plain_runs, observed_runs,
         "observation must not change behavior"
@@ -148,15 +143,15 @@ fn main() {
     let ratio = plain_s.max(null_s) / baseline_s.max(1e-12);
     let recording_ratio = observed_s / baseline_s.max(1e-12);
     println!(
-        "obs_overhead: unobserved {:.1} ms, null-sink {:.1} ms (ratio {:.4}), \
-         recording {:.1} ms (ratio {:.3}, {} events) — best of {reps}, {} clock",
+        "obs_overhead: unobserved {:.2} ms, null-sink {:.2} ms (ratio {:.4}), \
+         recording {:.2} ms (ratio {:.3}, {} events) — fastest of {runs_per_arm} runs \
+         per arm ({reps} windows of {per_window}), wall clock",
         plain_s * 1e3,
         null_s * 1e3,
         ratio,
         observed_s * 1e3,
         recording_ratio,
-        recording.events().len() / (reps * RUNS_PER_SAMPLE).max(1),
-        if cpu_ns().is_some() { "cpu" } else { "wall" },
+        recording.events().len() / runs_per_arm,
     );
     if ratio > max_ratio {
         eprintln!(

@@ -1,20 +1,19 @@
 //! `pool_scale` — adaptive-pool scaling benchmark: the hierarchical
-//! candidate pool plus the subset-of-data predict path must buy a far
-//! larger *effective* search resolution than the biggest fixed LHS pool
-//! we sweep elsewhere, at comparable per-iteration wall clock and
-//! without costing solution quality.
+//! candidate pool must buy a far larger *effective* search resolution
+//! than the biggest fixed LHS pool we sweep elsewhere, at comparable
+//! per-iteration wall clock and without costing solution quality.
 //!
 //! Two tuning runs share one analytic oracle (the seeded Scenario Two
 //! flow surface, evaluated by decoding each joint-encoded candidate —
 //! grown candidates included — through `PdFlow`):
 //!
 //! - **Fixed reference**: a dense LHS pool (5000 candidates full mode,
-//!   the largest size in `BENCH_gp.json`'s sweep; 1000 in smoke), exact
-//!   posterior everywhere.
-//! - **Adaptive**: a 10×-smaller starting pool over the same box, cell
-//!   refinement on, subset-of-data predict above a small threshold.
+//!   the largest size in `BENCH_gp.json`'s sweep; 1000 in smoke).
+//! - **Adaptive**: a smaller starting pool over the same box, cell
+//!   refinement on.
 //!
-//! Six gates:
+//! Both predict through the exact, cached transfer-GP posterior. Five
+//! gates:
 //!
 //! 1. **Effective pool**: the adaptive run's peak effective pool
 //!    (uniform-grid-equivalent resolution from the cell tree's smallest
@@ -27,14 +26,8 @@
 //!    its tool-run budget.
 //! 4. **Lawful trace**: the adaptive run's event stream passes the full
 //!    invariant checker (append-only pool growth, leaf accounting,
-//!    conservative effective-pool reporting) and actually exercises both
-//!    refinement and the subset predict path.
-//! 5. **Approximation error**: re-running the adaptive config with the
-//!    subset path disabled (exact posterior) must not change front
-//!    quality by more than 1.05× in either metric — the end-to-end bound
-//!    on what subset-of-data costs (the per-query bounds live in
-//!    testkit's `sod_differential` suite).
-//! 6. **Determinism**: re-running the adaptive config reproduces its
+//!    conservative effective-pool reporting) and actually refines.
+//! 5. **Determinism**: re-running the adaptive config reproduces its
 //!    canonical trace byte for byte.
 //!
 //! Usage: `cargo run --release -p bench --bin pool_scale -- [--smoke]
@@ -119,7 +112,7 @@ fn scenario_with(targets: usize) -> benchgen::Scenario {
     benchgen::Scenario::two_with_counts(9, 120, targets).with_source_budget(60)
 }
 
-fn run_pool(targets: usize, adaptive: bool, subset: bool, iterations: usize, seed: u64) -> PoolRun {
+fn run_pool(targets: usize, adaptive: bool, iterations: usize, seed: u64) -> PoolRun {
     let scenario = scenario_with(targets);
     let candidates = scenario.target_candidates();
     let (sx, sy) = scenario.source_xy(SPACE);
@@ -135,8 +128,6 @@ fn run_pool(targets: usize, adaptive: bool, subset: bool, iterations: usize, see
         pool_refine_ceiling: 4.0,
         pool_max_refines: 64,
         pool_max_size: candidates.len() + iterations * 64,
-        sod_threshold: if subset { 48 } else { usize::MAX },
-        sod_subset: 112,
         ..Default::default()
     };
     let joint = scenario.joint().clone();
@@ -243,19 +234,11 @@ fn main() {
     // 1.05x quality gate is tighter than that single-run noise.
     let fixed: Vec<PoolRun> = seeds
         .iter()
-        .map(|&s| run_pool(sizes.fixed_pool, false, false, sizes.iterations, s))
+        .map(|&s| run_pool(sizes.fixed_pool, false, sizes.iterations, s))
         .collect();
     let adaptive: Vec<PoolRun> = seeds
         .iter()
-        .map(|&s| {
-            run_pool(
-                sizes.adaptive_start,
-                true,
-                true,
-                sizes.adaptive_iterations,
-                s,
-            )
-        })
+        .map(|&s| run_pool(sizes.adaptive_start, true, sizes.adaptive_iterations, s))
         .collect();
     let budget = |r: &TuneResult| r.runs + r.verification_runs;
     let total_budget = |runs: &[PoolRun]| runs.iter().map(|r| budget(&r.result)).sum::<usize>();
@@ -359,7 +342,7 @@ fn main() {
         println!("gate 3 OK: adaptive front within 1.05x of the fixed reference at equal budget");
     }
 
-    // Gate 4: lawful traces, with both scaling paths actually exercised.
+    // Gate 4: lawful traces, with refinement actually exercised.
     // No truth table here: δ-accuracy against a fully tabulated pool is
     // pinned by the golden-trace suite; this bench's pools are mostly
     // unevaluated by design, so only the structural laws apply.
@@ -367,16 +350,8 @@ fn main() {
     for (run, &seed) in adaptive.iter().zip(seeds) {
         match testkit::invariants::check_trace(&run.events, None) {
             Ok(report) => {
-                let subset_used = run
-                    .events
-                    .iter()
-                    .any(|e| matches!(e, Event::PredictMode { mode, .. } if mode == "subset"));
                 if report.pool_refines == 0 {
                     violations.push(format!("seed {seed:#x}: no PoolRefine events recorded"));
-                } else if !subset_used {
-                    violations.push(format!(
-                        "seed {seed:#x}: subset predict path never activated"
-                    ));
                 }
                 refines_checked += report.pool_refines;
             }
@@ -386,47 +361,12 @@ fn main() {
         }
     }
     if violations.is_empty() {
-        println!(
-            "gate 4 OK: all adaptive traces lawful ({refines_checked} refinements checked, \
-             subset path active)"
-        );
+        println!("gate 4 OK: all adaptive traces lawful ({refines_checked} refinements checked)");
     }
 
-    // Gate 5: end-to-end approximation error of the subset predict path,
-    // also averaged across the sweep.
-    let exact: Vec<PoolRun> = seeds
-        .iter()
-        .map(|&s| {
-            run_pool(
-                sizes.adaptive_start,
-                true,
-                false,
-                sizes.adaptive_iterations,
-                s,
-            )
-        })
-        .collect();
-    let (exact_hv, exact_adrs) = mean_score(&exact);
-    println!(
-        "exact-posterior adaptive: hv {exact_hv:.6} adrs {exact_adrs:.6} at {} runs",
-        total_budget(&exact)
-    );
-    if adaptive_hv > exact_hv * 1.05 + 1e-9 {
-        violations.push(format!(
-            "subset-path mean hv error {adaptive_hv} exceeds 1.05x the exact-posterior {exact_hv}"
-        ));
-    } else if adaptive_adrs > exact_adrs * 1.05 + 1e-9 {
-        violations.push(format!(
-            "subset-path mean ADRS {adaptive_adrs} exceeds 1.05x the exact-posterior {exact_adrs}"
-        ));
-    } else {
-        println!("gate 5 OK: subset predict path within 1.05x of the exact posterior");
-    }
-
-    // Gate 6: repeat determinism (first seed).
+    // Gate 5: repeat determinism (first seed).
     let repeat = run_pool(
         sizes.adaptive_start,
-        true,
         true,
         sizes.adaptive_iterations,
         seeds[0],
@@ -434,7 +374,7 @@ fn main() {
     if repeat.trace != adaptive[0].trace {
         violations.push("repeat adaptive run produced a different canonical trace".into());
     } else {
-        println!("gate 6 OK: repeat adaptive run is byte-identical");
+        println!("gate 5 OK: repeat adaptive run is byte-identical");
     }
 
     if violations.is_empty() {

@@ -118,8 +118,6 @@ pub struct RunSummary {
     /// Final (pool size, effective pool) from the last `PoolRefine`,
     /// `None` when the run used a fixed pool.
     pub pool_final: Option<(usize, f64)>,
-    /// Predict-path usage from `PredictMode`: mode → iterations.
-    pub predict_modes: BTreeMap<String, usize>,
     /// Degraded surrogate calibrations (`DegradedFit` count).
     pub degraded_fits: usize,
     /// Checkpoint-chain recovery scans that skipped damaged entries
@@ -197,9 +195,6 @@ pub fn summarize_run(name: &str, events: &[Event]) -> RunSummary {
             } => {
                 s.pool_splits += splits;
                 s.pool_final = Some((*pool_size, *effective_pool));
-            }
-            Event::PredictMode { mode, .. } => {
-                *s.predict_modes.entry(mode.clone()).or_default() += 1;
             }
             Event::DegradedFit { .. } => s.degraded_fits += 1,
             Event::RecoveryScan { .. } => s.recovery_scans += 1,
@@ -405,20 +400,6 @@ impl FleetReport {
                 quantile(&effs, 0.5),
                 quantile(&effs, 1.0),
             );
-            let mut modes: BTreeMap<&str, usize> = BTreeMap::new();
-            for r in &self.runs {
-                for (mode, iters) in &r.predict_modes {
-                    *modes.entry(mode).or_default() += iters;
-                }
-            }
-            if !modes.is_empty() {
-                let parts: Vec<String> = modes.iter().map(|(m, n)| format!("{m} {n}")).collect();
-                let _ = writeln!(
-                    out,
-                    "  predict path usage (iterations): {}",
-                    parts.join(", ")
-                );
-            }
         }
 
         let flops: u64 = self.runs.iter().map(|r| r.resources.0).sum();
@@ -590,17 +571,9 @@ mod tests {
             pool_size: 12,
             effective_pool: 64.0,
         });
-        events.push(Event::PredictMode {
-            iteration: 0,
-            train_size: 300,
-            subset_size: 128,
-            queries: 40,
-            mode: "subset".into(),
-        });
         let s = summarize_run("pool-run", &events);
         assert_eq!(s.pool_splits, 3);
         assert_eq!(s.pool_final, Some((12, 64.0)));
-        assert_eq!(s.predict_modes["subset"], 1);
         let fixed = summarize_run("fixed-run", &mini_run(0.4, 5.0));
         assert_eq!(fixed.pool_final, None);
         let text = FleetReport {
@@ -612,7 +585,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("effective pool"), "{text}");
-        assert!(text.contains("subset 1"), "{text}");
     }
 
     #[test]

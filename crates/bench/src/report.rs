@@ -101,7 +101,6 @@ fn render_run(events: &[Event], out: &mut String) {
     let mut predict_resources = (0u64, 0u64, 0u64, 0u64);
     let mut pool_refines: Vec<(usize, usize, usize, usize, f64)> = Vec::new();
     let mut pool_splits_total = 0usize;
-    let mut predict_modes: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     let mut degraded_by_mode: BTreeMap<String, usize> = BTreeMap::new();
     let mut degraded_max_streak = 0usize;
     let mut recovery_scans = 0usize;
@@ -258,11 +257,6 @@ fn render_run(events: &[Event], out: &mut String) {
                 pool_splits_total += splits;
                 pool_refines.push((*iteration, *splits, *leaves, *pool_size, *effective_pool));
             }
-            Event::PredictMode { mode, queries, .. } => {
-                let entry = predict_modes.entry(mode.clone()).or_default();
-                entry.0 += 1;
-                entry.1 += queries;
-            }
             Event::DegradedFit {
                 mode, consecutive, ..
             } => {
@@ -382,18 +376,6 @@ fn render_run(events: &[Event], out: &mut String) {
                     "  {it:>4}: +{splits:<3} leaves {leaves:>6}  pool {pool:>6}  eff {eff:>10.0}"
                 );
             }
-        }
-    }
-    if !predict_modes.is_empty() {
-        let _ = writeln!(
-            out,
-            "\npredict path usage (posterior backend per iteration):"
-        );
-        for (mode, (iters, queries)) in &predict_modes {
-            let _ = writeln!(
-                out,
-                "  {mode:<8} {iters:>5} iterations, {queries:>8} box queries"
-            );
         }
     }
 

@@ -50,7 +50,7 @@ pub use counters::GpCounters;
 pub use error::GpError;
 pub use gp::GpRegressor;
 pub use predict_cache::PredictCache;
-pub use transfer::{SubsetPredictor, TaskData, TransferGp, TransferGpConfig, PREDICT_BLOCK};
+pub use transfer::{TaskData, TransferGp, TransferGpConfig, PREDICT_BLOCK};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T, E = GpError> = std::result::Result<T, E>;

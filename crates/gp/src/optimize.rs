@@ -200,7 +200,7 @@ fn decode(theta: &[f64], dim: usize) -> TransferGpConfig {
     }
 }
 
-/// How much work a [`fit_transfer_gp_reported`] call actually did.
+/// How much work a [`fit_transfer_gp_from_starts`] call actually did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitReport {
     /// Multi-start restarts executed.
@@ -368,25 +368,8 @@ pub fn fit_transfer_gp<R: Rng + ?Sized>(
     budget: FitBudget,
     rng: &mut R,
 ) -> Result<TransferGp> {
-    fit_transfer_gp_reported(source, target, dim, budget, rng).map(|(model, _)| model)
-}
-
-/// Like [`fit_transfer_gp`], but also returns a [`FitReport`] describing
-/// the budget actually consumed — for observability sinks and budget
-/// tuning.
-///
-/// # Errors
-///
-/// Same as [`fit_transfer_gp`].
-pub fn fit_transfer_gp_reported<R: Rng + ?Sized>(
-    source: &TaskData,
-    target: &TaskData,
-    dim: usize,
-    budget: FitBudget,
-    rng: &mut R,
-) -> Result<(TransferGp, FitReport)> {
     let starts = restart_starts(dim, budget.restarts, rng);
-    fit_transfer_gp_from_starts(source, target, dim, budget, &starts, 1)
+    fit_transfer_gp_from_starts(source, target, dim, budget, &starts, 1).map(|(model, _)| model)
 }
 
 #[cfg(test)]
@@ -514,8 +497,9 @@ mod tests {
             evals_per_restart: 40,
         };
         let mut rng = StdRng::seed_from_u64(1);
+        let starts = restart_starts(1, budget.restarts, &mut rng);
         let (model, report) =
-            fit_transfer_gp_reported(&source, &target, 1, budget, &mut rng).unwrap();
+            fit_transfer_gp_from_starts(&source, &target, 1, budget, &starts, 1).unwrap();
         assert_eq!(report.restarts, 2);
         // Each restart consumes at least the initial simplex (dim + 5
         // points) and at most the per-restart cap plus one last shrink
@@ -526,7 +510,7 @@ mod tests {
         assert!((report.log_marginal - model.log_marginal_likelihood()).abs() < 1e-12);
         assert!(report.jitter >= 0.0);
 
-        // The plain entry point must agree with the reported one.
+        // The plain entry point must agree with the pre-drawn one.
         let mut rng2 = StdRng::seed_from_u64(1);
         let plain = fit_transfer_gp(&source, &target, 1, budget, &mut rng2).unwrap();
         assert_eq!(plain.config(), model.config());
@@ -561,9 +545,8 @@ mod tests {
 
         // And the RNG-drawing entry point matches the pre-drawn path.
         let mut rng2 = StdRng::seed_from_u64(7);
-        let (m2, r2) = fit_transfer_gp_reported(&source, &target, 1, budget, &mut rng2).unwrap();
-        assert_eq!(m1.config(), m2.config());
-        assert_eq!(r1, r2);
+        let plain = fit_transfer_gp(&source, &target, 1, budget, &mut rng2).unwrap();
+        assert_eq!(m1.config(), plain.config());
     }
 
     #[test]
@@ -579,7 +562,9 @@ mod tests {
             evals_per_restart: 30,
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let (_, report) = fit_transfer_gp_reported(&source, &target, 1, budget, &mut rng).unwrap();
+        let starts = restart_starts(1, budget.restarts, &mut rng);
+        let (_, report) =
+            fit_transfer_gp_from_starts(&source, &target, 1, budget, &starts, 1).unwrap();
         // The search itself never constructs a model from raw data: every
         // objective evaluation runs off the distance cache, and only the
         // winning θ is fit for real.

@@ -859,123 +859,6 @@ impl TransferGp {
     pub fn log_conditional_likelihood(&self) -> f64 {
         self.log_marginal_likelihood() - self.source_lml
     }
-
-    /// Builds a subset-of-data predictor over at most `m` anchor points:
-    /// the posterior obtained by conditioning on a deterministic
-    /// farthest-point (maximin) subset of the joint training set, with
-    /// the same kernel, λ, and per-task noise.
-    ///
-    /// Per-query prediction costs O(m) for the mean and O(m²) for the
-    /// variance — independent of the full training size — which is what
-    /// makes very large evaluation histories affordable to sweep.
-    ///
-    /// **Error bounds.** Conditioning on a subset of the data can only
-    /// lose information, so the subset posterior's latent variance
-    /// *dominates* the exact one: `σ²_sod(x) ≥ σ²_exact(x)` (up to the
-    /// factorization jitters, which also only add variance). ε-PAL
-    /// uncertainty boxes built from the subset path are therefore
-    /// conservative supersets of the exact boxes, and every
-    /// classification they allow is also allowed by the exact model. The
-    /// mean error is governed by the information the subset discards:
-    /// for data drawn from the prior, nested conditioning gives
-    /// `E[(μ_exact − μ_sod)²] = σ²_sod − σ²_exact ≤ σ²_sod`, so
-    /// `|μ_sod(x) − μ_exact(x)| ≲ 3·σ_sod(x)` in-model. That constant is
-    /// *not* a theorem: on misspecified data (out-of-model surfaces with
-    /// a large task offset) both posteriors can extrapolate confidently
-    /// in different directions and the ratio grows. `testkit`'s
-    /// differential suite asserts the variance laws strictly and pins
-    /// the mean error's empirical envelope against the dense reference
-    /// posterior.
-    ///
-    /// Anchor selection starts at joint index 0 and greedily adds the
-    /// point with maximal minimum squared distance to the chosen set
-    /// (lowest index on ties), so the subset — and everything downstream
-    /// — is a pure function of the training data.
-    ///
-    /// # Errors
-    ///
-    /// [`GpError::InvalidHyperparameter`] when `m` is 0;
-    /// [`GpError::Factorization`] when the anchor kernel matrix cannot be
-    /// factored.
-    pub fn subset_predictor(&self, m: usize) -> Result<SubsetPredictor> {
-        if m == 0 {
-            return Err(GpError::InvalidHyperparameter {
-                name: "sod_subset",
-                value: 0.0,
-            });
-        }
-        let n = self.x_source.len();
-        let p = n + self.x_target.len();
-        let point_of = |i: usize| -> &[f64] {
-            if i < n {
-                &self.x_source[i]
-            } else {
-                &self.x_target[i - n]
-            }
-        };
-        let task_of = |i: usize| if i < n { Task::Source } else { Task::Target };
-
-        // Deterministic farthest-point subset of the joint indices.
-        let m = m.min(p);
-        let mut chosen: Vec<usize> = Vec::with_capacity(m);
-        let mut min_d2 = vec![f64::INFINITY; p];
-        chosen.push(0);
-        while chosen.len() < m {
-            let last = *chosen.last().expect("chosen is non-empty");
-            let mut best = None;
-            for (i, slot) in min_d2.iter_mut().enumerate() {
-                let d2 = sq_dist(point_of(i), point_of(last));
-                if d2 < *slot {
-                    *slot = d2;
-                }
-                if !chosen.contains(&i) {
-                    // Strictly-greater keeps the lowest index on ties.
-                    let better = match best {
-                        None => true,
-                        Some((_, bd2)) => *slot > bd2,
-                    };
-                    if better {
-                        best = Some((i, *slot));
-                    }
-                }
-            }
-            chosen.push(best.expect("m <= p leaves an unchosen point").0);
-        }
-
-        let anchors: Vec<Vec<f64>> = chosen.iter().map(|&i| point_of(i).to_vec()).collect();
-        let tasks: Vec<Task> = chosen.iter().map(|&i| task_of(i)).collect();
-        let z_sub: Vec<f64> = chosen.iter().map(|&i| self.z_joint[i]).collect();
-
-        crate::counters::add_kernel_assemblies(1);
-        let mut k = Matrix::from_fn(m, m, |i, j| {
-            self.kernel
-                .eval_task(&anchors[i], tasks[i], &anchors[j], tasks[j])
-        });
-        for (i, &orig) in chosen.iter().enumerate() {
-            k[(i, i)] += if orig < n {
-                self.config.noise_source
-            } else {
-                self.config.noise_target
-            };
-        }
-        let (chol, _) = Cholesky::new_with_jitter(&k, 1e-10, 12)?;
-        let alpha = chol.solve_vec(&z_sub)?;
-        Ok(SubsetPredictor {
-            kernel: self.kernel.clone(),
-            anchors,
-            tasks,
-            alpha,
-            chol,
-            std_target: self.std_target,
-            noise_target: self.noise_target,
-            train_size: p,
-        })
-    }
-}
-
-/// Squared Euclidean distance between two points of equal dimension.
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
 }
 
 /// Runs `run(0..n_chunks)` across at most `workers` scoped threads with
@@ -1017,177 +900,6 @@ where
                 .expect("every predict chunk slot is filled")
         })
         .collect()
-}
-
-/// A subset-of-data approximation of a [`TransferGp`] posterior: the
-/// exact GP posterior of a maximin-chosen anchor subset of the joint
-/// training set. See [`TransferGp::subset_predictor`] for the
-/// construction and its error bounds (conservative variance, σ-bounded
-/// mean error).
-#[derive(Clone)]
-pub struct SubsetPredictor {
-    kernel: TransferKernel<SquaredExponential>,
-    anchors: Vec<Vec<f64>>,
-    tasks: Vec<Task>,
-    alpha: Vec<f64>,
-    chol: Cholesky,
-    std_target: Standardizer,
-    noise_target: f64,
-    train_size: usize,
-}
-
-impl SubsetPredictor {
-    /// Number of anchor points the predictor conditions on.
-    pub fn subset_size(&self) -> usize {
-        self.anchors.len()
-    }
-
-    /// Joint training-set size of the model this predictor was built
-    /// from.
-    pub fn train_size(&self) -> usize {
-        self.train_size
-    }
-
-    /// Predictive mean and latent variance for a target-task query — the
-    /// subset-of-data counterpart of [`TransferGp::predict_latent`].
-    ///
-    /// # Errors
-    ///
-    /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
-    pub fn predict_latent(&self, x: &[f64]) -> Result<(f64, f64)> {
-        let query = [x.to_vec()];
-        let out = self.predict_latent_batch_with_block(&query, 1)?;
-        Ok(out[0])
-    }
-
-    /// Predictive mean and observation variance (latent + `β_t⁻¹`), the
-    /// subset-of-data counterpart of [`TransferGp::predict`].
-    ///
-    /// # Errors
-    ///
-    /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
-    pub fn predict(&self, x: &[f64]) -> Result<(f64, f64)> {
-        let (mean, var) = self.predict_latent(x)?;
-        Ok((mean, var + self.std_target.inverse_var(self.noise_target)))
-    }
-
-    /// Batch form of [`SubsetPredictor::predict_latent`], blocked like
-    /// [`TransferGp::predict_latent_batch_with_block`]; results are
-    /// independent of `block`.
-    ///
-    /// # Errors
-    ///
-    /// [`GpError::InvalidHyperparameter`] when `block` is 0;
-    /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
-    pub fn predict_latent_batch_with_block(
-        &self,
-        xs: &[Vec<f64>],
-        block: usize,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.check_batch_args(xs, block)?;
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in xs.chunks(block) {
-            self.predict_latent_block(chunk, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// Data-parallel form of
-    /// [`SubsetPredictor::predict_latent_batch_with_block`], with the
-    /// same chunk decomposition and position-order merge as
-    /// [`TransferGp::predict_latent_batch_par`] — bitwise identical at
-    /// any worker count and any valid `block`. The subset posterior is
-    /// rebuilt each refit, so there is no cached variant; parallelism is
-    /// the whole win here.
-    ///
-    /// # Errors
-    ///
-    /// [`GpError::InvalidHyperparameter`] when `block` is 0;
-    /// [`GpError::DimensionMismatch`] for queries of the wrong dimension.
-    pub fn predict_latent_batch_par(
-        &self,
-        xs: &[Vec<f64>],
-        block: usize,
-        workers: usize,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.check_batch_args(xs, block)?;
-        let n_chunks = xs.len().div_ceil(block);
-        crate::counters::add_predict_chunks(n_chunks as u64);
-        let chunks = run_chunks_par(n_chunks, workers, |c| {
-            let lo = c * block;
-            let hi = (lo + block).min(xs.len());
-            let mut out = Vec::with_capacity(hi - lo);
-            self.predict_latent_block(&xs[lo..hi], &mut out)
-                .map(|()| out)
-        });
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in chunks {
-            out.extend(chunk?);
-        }
-        Ok(out)
-    }
-
-    /// Shared validation of the batch predict entry points.
-    fn check_batch_args(&self, xs: &[Vec<f64>], block: usize) -> Result<()> {
-        if block == 0 {
-            return Err(GpError::InvalidHyperparameter {
-                name: "predict_block",
-                value: 0.0,
-            });
-        }
-        let dim = self.kernel.base().dim();
-        for x in xs {
-            if x.len() != dim {
-                return Err(GpError::DimensionMismatch {
-                    expected: dim,
-                    got: x.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// One block: assemble the anchor cross-covariance, one multi-RHS
-    /// triangular solve, scalar-order per-query reductions (the same
-    /// accumulation order as the exact path, so chunking is invisible).
-    fn predict_latent_block(&self, xs: &[Vec<f64>], out: &mut Vec<(f64, f64)>) -> Result<()> {
-        if xs.is_empty() {
-            return Ok(());
-        }
-        let m = self.anchors.len();
-        let k_star = Matrix::from_fn(m, xs.len(), |i, q| {
-            self.kernel
-                .eval_task(&self.anchors[i], self.tasks[i], &xs[q], Task::Target)
-        });
-        let v = self.chol.solve_lower_only_multi(&k_star)?;
-        for (q, x) in xs.iter().enumerate() {
-            let mut mean_z = 0.0;
-            for (i, &a) in self.alpha.iter().enumerate() {
-                mean_z += k_star[(i, q)] * a;
-            }
-            let mut vv = 0.0;
-            for i in 0..m {
-                let vi = v[(i, q)];
-                vv += vi * vi;
-            }
-            let c = self.kernel.eval_task(x, Task::Target, x, Task::Target);
-            let var_z = (c - vv).max(0.0);
-            out.push((
-                self.std_target.inverse(mean_z),
-                self.std_target.inverse_var(var_z),
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for SubsetPredictor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubsetPredictor")
-            .field("subset", &self.anchors.len())
-            .field("train_size", &self.train_size)
-            .finish()
-    }
 }
 
 impl std::fmt::Debug for TransferGp {
@@ -1452,85 +1164,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_predictor_with_all_points_matches_exact() {
-        let tgp = TransferGp::fit(
-            source_dense(),
-            target_sparse(0.1),
-            TransferGpConfig::default_for_dim(1),
-        )
-        .unwrap();
-        let full = tgp.source_len() + tgp.target_len();
-        let sod = tgp.subset_predictor(full + 10).unwrap();
-        assert_eq!(sod.subset_size(), full);
-        assert_eq!(sod.train_size(), full);
-        // Same conditioning set (re-ordered): same posterior up to
-        // permutation round-off.
-        for q in [[0.0], [0.17], [0.5], [0.83], [1.0]] {
-            let (me, ve) = tgp.predict_latent(&q).unwrap();
-            let (ms, vs) = sod.predict_latent(&q).unwrap();
-            assert!((me - ms).abs() < 1e-7, "mean at {q:?}: {me} vs {ms}");
-            assert!((ve - vs).abs() < 1e-7, "var at {q:?}: {ve} vs {vs}");
-        }
-    }
-
-    #[test]
-    fn subset_variance_dominates_exact_variance() {
-        let tgp = TransferGp::fit(
-            source_dense(),
-            target_sparse(0.1),
-            TransferGpConfig::default_for_dim(1),
-        )
-        .unwrap();
-        let sod = tgp.subset_predictor(8).unwrap();
-        assert_eq!(sod.subset_size(), 8);
-        for i in 0..40 {
-            let q = [i as f64 / 39.0];
-            let (_, ve) = tgp.predict_latent(&q).unwrap();
-            let (ms, vs) = sod.predict_latent(&q).unwrap();
-            assert!(
-                vs >= ve - 1e-9,
-                "subset variance {vs} below exact {ve} at {q:?}"
-            );
-            // Mean error stays inside the subset's own uncertainty.
-            let (me, _) = tgp.predict_latent(&q).unwrap();
-            assert!(
-                (ms - me).abs() <= 3.0 * vs.sqrt() + 1e-9,
-                "mean error {} exceeds 3σ_sod {}",
-                (ms - me).abs(),
-                3.0 * vs.sqrt()
-            );
-        }
-    }
-
-    #[test]
-    fn subset_predictor_is_deterministic_and_blocked() {
-        let tgp = TransferGp::fit(
-            source_dense(),
-            target_sparse(0.1),
-            TransferGpConfig::default_for_dim(1),
-        )
-        .unwrap();
-        let a = tgp.subset_predictor(12).unwrap();
-        let b = tgp.subset_predictor(12).unwrap();
-        let queries: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 29.0]).collect();
-        let pa = a.predict_latent_batch_with_block(&queries, 7).unwrap();
-        let pb = b.predict_latent_batch_with_block(&queries, 256).unwrap();
-        assert_eq!(pa, pb, "subset path not deterministic/chunk-invariant");
-        // Scalar path agrees bit-for-bit with the batch path.
-        for (q, query) in queries.iter().enumerate() {
-            assert_eq!(a.predict_latent(query).unwrap(), pa[q]);
-        }
-        let (mn, vn) = a.predict(&queries[3]).unwrap();
-        assert_eq!(mn, pa[3].0);
-        assert!(vn > pa[3].1, "predict adds observation noise");
-        // Invalid inputs.
-        assert!(a.predict_latent(&[0.1, 0.2]).is_err());
-        assert!(a.predict_latent_batch_with_block(&queries, 0).is_err());
-        assert!(tgp.subset_predictor(0).is_err());
-        assert!(format!("{a:?}").contains("SubsetPredictor"));
-    }
-
-    #[test]
     fn parallel_predict_is_bitwise_worker_and_block_invariant() {
         let tgp = TransferGp::fit(
             source_dense(),
@@ -1548,18 +1181,11 @@ mod tests {
                 assert_eq!(got, reference, "block {block} workers {workers} drifted");
             }
         }
-        let sod = tgp.subset_predictor(12).unwrap();
-        let sod_ref = sod.predict_latent_batch_with_block(&queries, 256).unwrap();
-        for workers in [1, 2, 4, 8] {
-            let got = sod.predict_latent_batch_par(&queries, 5, workers).unwrap();
-            assert_eq!(got, sod_ref, "subset workers {workers} drifted");
-        }
         // Validation still applies on the parallel entry points.
         assert!(tgp.predict_latent_batch_par(&queries, 0, 4).is_err());
         assert!(tgp
             .predict_latent_batch_par(&[vec![0.1, 0.2]], 8, 4)
             .is_err());
-        assert!(sod.predict_latent_batch_par(&queries, 0, 4).is_err());
         assert!(tgp.predict_latent_batch_par(&[], 8, 4).unwrap().is_empty());
     }
 

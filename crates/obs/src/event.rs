@@ -327,25 +327,6 @@ pub enum Event {
         effective_pool: f64,
     },
 
-    /// Which posterior path served this iteration's uncertainty-box
-    /// predictions: the exact Cholesky posterior or the subset-of-data
-    /// approximation. Emitted only when a subset-of-data threshold is
-    /// configured, so legacy traces are unchanged.
-    PredictMode {
-        /// Refinement iteration the predictions belong to.
-        iteration: usize,
-        /// Joint (source + target) training-set size behind the
-        /// surrogates at predict time.
-        train_size: usize,
-        /// Anchor count of the subset-of-data predictor (0 on the exact
-        /// path).
-        subset_size: usize,
-        /// Query points predicted this iteration.
-        queries: usize,
-        /// `"exact"` or `"subset"`.
-        mode: String,
-    },
-
     /// A surrogate calibration failed numerically and the run supervisor
     /// fell back to the last-good model instead of aborting. Emitted only
     /// when a fallback actually happens, so fault-free traces are
@@ -428,7 +409,6 @@ impl Event {
             Event::SpanEnd { .. } => "SpanEnd",
             Event::ResourceSample { .. } => "ResourceSample",
             Event::PoolRefine { .. } => "PoolRefine",
-            Event::PredictMode { .. } => "PredictMode",
             Event::DegradedFit { .. } => "DegradedFit",
             Event::RecoveryScan { .. } => "RecoveryScan",
             Event::WatchdogFired { .. } => "WatchdogFired",
@@ -452,7 +432,6 @@ impl Event {
             | Event::IterationEnd { iteration, .. }
             | Event::ResourceSample { iteration, .. }
             | Event::PoolRefine { iteration, .. }
-            | Event::PredictMode { iteration, .. }
             | Event::DegradedFit { iteration, .. }
             | Event::WatchdogFired { iteration, .. } => Some(*iteration),
             _ => None,
@@ -591,29 +570,18 @@ mod tests {
 
     #[test]
     fn pool_events_round_trip_and_carry_iterations() {
-        let events = [
-            Event::PoolRefine {
-                iteration: 5,
-                splits: 3,
-                leaves: 67,
-                pool_size: 131,
-                effective_pool: 16384.0,
-            },
-            Event::PredictMode {
-                iteration: 5,
-                train_size: 412,
-                subset_size: 256,
-                queries: 97,
-                mode: "subset".into(),
-            },
-        ];
-        for e in &events {
-            let json = serde_json::to_string(e).unwrap();
-            assert!(json.starts_with(&format!("{{\"{}\":", e.kind())), "{json}");
-            let back: Event = serde_json::from_str(&json).unwrap();
-            assert_eq!(&back, e);
-            assert_eq!(e.iteration(), Some(5));
-        }
+        let e = Event::PoolRefine {
+            iteration: 5,
+            splits: 3,
+            leaves: 67,
+            pool_size: 131,
+            effective_pool: 16384.0,
+        };
+        let json = serde_json::to_string(&e).unwrap();
+        assert!(json.starts_with(&format!("{{\"{}\":", e.kind())), "{json}");
+        let back: Event = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, e);
+        assert_eq!(e.iteration(), Some(5));
     }
 
     #[test]

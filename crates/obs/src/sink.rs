@@ -237,16 +237,6 @@ impl StderrSink {
                 "iter {iteration:3}: pool refine {splits} splits -> {leaves} leaves, \
                  {pool_size} candidates (effective {effective_pool:.0})"
             ),
-            Event::PredictMode {
-                iteration,
-                train_size,
-                subset_size,
-                queries,
-                mode,
-            } => format!(
-                "iter {iteration:3}: predict {mode} ({queries} queries, train {train_size}, \
-                 subset {subset_size})"
-            ),
             Event::DegradedFit {
                 iteration,
                 objective,

@@ -40,7 +40,7 @@ use crate::tuner::{IterationRecord, PpaTunerConfig, SourceData};
 
 /// Current checkpoint format version. Bumped on any incompatible change;
 /// resume refuses other versions rather than misinterpreting them.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// The result of one oracle attempt, after sanitization.
 ///
@@ -216,15 +216,28 @@ impl Checkpoint {
         sealed.to_json()
     }
 
-    /// Parses a checkpoint from its JSON form and verifies the content
-    /// digest when one is present (`digest != 0`).
+    /// Parses a checkpoint from its JSON form, refuses other format
+    /// versions, and verifies the content digest when one is present
+    /// (`digest != 0`).
+    ///
+    /// The version is checked first: the digest re-serializes the parsed
+    /// struct, which drops keys an older format carried, so an intact
+    /// checkpoint of another version would otherwise be misreported as a
+    /// torn write.
     ///
     /// # Errors
     ///
-    /// A description of the parse failure or digest mismatch.
+    /// A description of the parse failure, version mismatch, or digest
+    /// mismatch.
     pub fn from_json(s: &str) -> Result<Self, String> {
         let ckpt: Checkpoint =
             serde_json::from_str(s).map_err(|e| format!("malformed checkpoint: {e}"))?;
+        if ckpt.version != CHECKPOINT_VERSION {
+            return Err(format!(
+                "checkpoint version {} unsupported (expected {CHECKPOINT_VERSION})",
+                ckpt.version
+            ));
+        }
         if ckpt.digest != 0 {
             let expected = ckpt.content_digest();
             if ckpt.digest != expected {
@@ -778,6 +791,33 @@ mod tests {
         assert_eq!(
             Checkpoint::from_json(&unsealed.to_json()).unwrap(),
             unsealed
+        );
+    }
+
+    #[test]
+    fn older_format_is_refused_by_version_not_as_a_torn_write() {
+        // A version-1 checkpoint as that format wrote it: the config still
+        // carries the retired subset-of-data keys, and the digest is
+        // sealed over these exact bytes.
+        let v1 = sample_checkpoint()
+            .to_json()
+            .replace(
+                &format!("\"version\":{CHECKPOINT_VERSION}"),
+                "\"version\":1",
+            )
+            .replace(
+                "\"predict_block\":",
+                "\"sod_threshold\":18446744073709551615,\"sod_subset\":256,\"predict_block\":",
+            );
+        assert!(v1.contains("\"sod_threshold\"") && v1.ends_with("\"digest\":0}"));
+        let sealed = v1.replace(
+            "\"digest\":0}",
+            &format!("\"digest\":{}}}", fnv1a(v1.as_bytes())),
+        );
+        let e = Checkpoint::from_json(&sealed).unwrap_err();
+        assert_eq!(
+            e,
+            format!("checkpoint version 1 unsupported (expected {CHECKPOINT_VERSION})")
         );
     }
 

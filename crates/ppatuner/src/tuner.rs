@@ -11,7 +11,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use gp::optimize::{fit_transfer_gp_from_starts, restart_starts, FitBudget, FitReport};
-use gp::{GpCounters, PredictCache, SubsetPredictor, TaskData, TransferGp};
+use gp::{GpCounters, PredictCache, TaskData, TransferGp};
 use obs::{Event, Observer, OpenSpan, Tracer, NULL_SINK};
 use serde::{Deserialize, Serialize};
 
@@ -219,17 +219,6 @@ pub struct PpaTunerConfig {
     /// Hard cap on the total candidate count the adaptive pool may grow
     /// to (initial candidates included).
     pub pool_max_size: usize,
-    /// Training-set size (source + target observations) above which
-    /// box prediction switches from the exact transfer-GP posterior to
-    /// the subset-of-data path ([`gp::SubsetPredictor`]), whose per-query
-    /// cost is bounded by [`sod_subset`](PpaTunerConfig::sod_subset)
-    /// instead of the full training size. The subset variance dominates
-    /// the exact variance, so ε-PAL's uncertainty boxes stay
-    /// conservative. `usize::MAX` (the default) never switches.
-    pub sod_threshold: usize,
-    /// Anchor count of the subset-of-data predictor (ignored while the
-    /// exact path is active).
-    pub sod_subset: usize,
     /// Query block size of batched GP prediction. Results are
     /// bit-identical at any block size; this only tunes the
     /// cache-locality/latency trade-off of large query sets. It is also
@@ -281,8 +270,6 @@ impl Default for PpaTunerConfig {
             pool_refine_ceiling: f64::MAX,
             pool_max_refines: 16,
             pool_max_size: 4096,
-            sod_threshold: usize::MAX,
-            sod_subset: 256,
             predict_block: gp::PREDICT_BLOCK,
             predict_workers: 0,
             degraded_fit_budget: 8,
@@ -295,7 +282,7 @@ impl PpaTunerConfig {
         let positive = |v: f64| v.is_finite() && v > 0.0;
         let non_negative = |v: f64| v.is_finite() && v >= 0.0;
         // (name, value reported on failure, valid?) in check order.
-        let checks: [(&'static str, f64, bool); 19] = [
+        let checks: [(&'static str, f64, bool); 18] = [
             ("tau", self.tau, positive(self.tau)),
             ("delta_rel", self.delta_rel, non_negative(self.delta_rel)),
             (
@@ -343,7 +330,6 @@ impl PpaTunerConfig {
             ),
             ("pool_max_refines", 0.0, self.pool_max_refines > 0),
             ("pool_max_size", 0.0, self.pool_max_size > 0),
-            ("sod_subset", 0.0, self.sod_subset > 0),
             ("predict_block", 0.0, self.predict_block > 0),
             // 0 means auto-size; anything past 4096 is a typo'd value, not
             // a machine (and would allocate that many chunk slots per sweep).
@@ -1276,48 +1262,15 @@ impl<'a> Session<'a> {
     }
 
     /// Predicts boxes for active, un-evaluated candidates and intersects
-    /// them into the regions (Eq. 10) — through the exact posterior, or
-    /// the subset-of-data path once the training set outgrows
-    /// `sod_threshold` — then grows the adaptive pool and boxes the new
-    /// representatives immediately, so this iteration's classification
-    /// and selection see them.
+    /// them into the regions (Eq. 10), then grows the adaptive pool and
+    /// boxes the new representatives immediately, so this iteration's
+    /// classification and selection see them.
     fn predict(&mut self, it: &mut Iteration) -> Result<()> {
         let phase = Instant::now();
-        let models = self.models.as_ref().expect("models exist past fitting");
-        // Subset predictors are rebuilt from the freshly calibrated models
-        // each iteration, so they never lag the exact posterior's data.
-        let train_size = self.source.len() + self.evaluated.len();
-        let sod: Option<Vec<SubsetPredictor>> = if train_size > self.config.sod_threshold {
-            Some(
-                models
-                    .iter()
-                    .map(|m| m.subset_predictor(self.config.sod_subset))
-                    .collect::<gp::Result<_>>()?,
-            )
-        } else {
-            None
-        };
-        let surrogates = match &sod {
-            Some(preds) => Surrogates::Subset(preds),
-            None => Surrogates::Exact(models),
-        };
+        let models = self.models.as_deref().expect("models exist past fitting");
         let active: Vec<usize> = (0..self.candidates.len())
             .filter(|&i| self.statuses[i].is_active() && !self.evaluated_flag[i])
             .collect();
-        // PredictMode is only in the trace when the SoD feature is
-        // actually configured — legacy traces stay byte-identical.
-        if self.config.sod_threshold != usize::MAX {
-            self.emit(|| Event::PredictMode {
-                iteration: it.t,
-                train_size,
-                subset_size: sod
-                    .as_ref()
-                    .and_then(|preds| preds.first())
-                    .map_or(train_size, SubsetPredictor::subset_size),
-                queries: active.len(),
-                mode: if sod.is_some() { "subset" } else { "exact" }.into(),
-            });
-        }
         // One sweep per iteration: entries untouched since the last sweep
         // belong to classified/pruned candidates and are evicted; the
         // active-set and pool-refinement predicts share the new stamp.
@@ -1325,7 +1278,7 @@ impl<'a> Session<'a> {
             cache.begin_sweep();
         }
         let boxes = predict_boxes(
-            &surrogates,
+            models,
             &self.candidates,
             &active,
             self.config.tau,
@@ -1358,7 +1311,7 @@ impl<'a> Session<'a> {
                     self.evaluated_flag.push(false);
                 }
                 let fresh_boxes = predict_boxes(
-                    &surrogates,
+                    models,
                     &self.candidates,
                     &fresh,
                     self.config.tau,
@@ -2394,66 +2347,18 @@ fn explain_degraded_divergence(err: TunerError, snapshot_degraded: usize) -> Tun
     }
 }
 
-/// The prediction back end of one iteration: every objective's exact
-/// transfer GP, or its subset-of-data predictor once the training set
-/// outgrows the configured threshold. Both expose the same blocked
-/// latent-batch call, so the box-prediction plumbing is path-agnostic.
-enum Surrogates<'a> {
-    Exact(&'a [TransferGp]),
-    Subset(&'a [SubsetPredictor]),
-}
-
-impl Surrogates<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Surrogates::Exact(models) => models.len(),
-            Surrogates::Subset(preds) => preds.len(),
-        }
-    }
-
-    /// One prediction list per objective, each parallel to `queries`.
-    ///
-    /// The exact path threads the per-objective [`PredictCache`]s through
-    /// (keyed by the stable candidate indices in `ids`), so warm sweeps
-    /// pay only the conditioning tail per cached candidate. The subset
-    /// path resamples its training subset every iteration — a prefix
-    /// cache could never hit — so it always predicts from scratch,
-    /// data-parallel across `workers`.
-    fn predict_latent_batch(
-        &self,
-        ids: &[u64],
-        queries: &[Vec<f64>],
-        block: usize,
-        workers: usize,
-        caches: &mut [PredictCache],
-    ) -> gp::Result<Vec<Vec<(f64, f64)>>> {
-        match self {
-            Surrogates::Exact(models) => models
-                .iter()
-                .zip(caches)
-                .map(|(m, cache)| {
-                    m.predict_latent_batch_cached(ids, queries, block, workers, cache)
-                })
-                .collect(),
-            Surrogates::Subset(preds) => preds
-                .iter()
-                .map(|p| p.predict_latent_batch_par(queries, block, workers))
-                .collect(),
-        }
-    }
-}
-
 /// Predicts `[μ − √τ·σ, μ + √τ·σ]` boxes for the active candidates via
-/// the cached/data-parallel batch path of the active surrogate (exact or
-/// subset-of-data). The gp layer fans `predict_block`-sized chunks over
-/// `workers` scoped threads and serves repeat candidates from the
-/// per-objective caches.
+/// each objective's cached, data-parallel exact posterior. The gp layer
+/// fans `predict_block`-sized chunks over `workers` scoped threads and
+/// serves repeat candidates from the per-objective caches, which are
+/// keyed by the stable candidate indices (warm sweeps pay only the
+/// conditioning tail per cached candidate).
 ///
 /// Batch prediction is bit-identical however the queries are chunked,
 /// blocked, or cached, so the boxes — and everything downstream of them —
 /// do not depend on the worker count, block size, or cache state.
 fn predict_boxes(
-    surrogates: &Surrogates<'_>,
+    models: &[TransferGp],
     candidates: &[Vec<f64>],
     active: &[usize],
     tau: f64,
@@ -2461,14 +2366,17 @@ fn predict_boxes(
     block: usize,
     caches: &mut [PredictCache],
 ) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
-    let n_obj = surrogates.len();
+    let n_obj = models.len();
     let scale = tau.sqrt();
     let queries: Vec<Vec<f64>> = active.iter().map(|&i| candidates[i].clone()).collect();
     // Candidate indices are stable (pool refinement only appends), so
     // they double as cache keys across iterations.
     let ids: Vec<u64> = active.iter().map(|&i| i as u64).collect();
-    let preds: Vec<Vec<(f64, f64)>> =
-        surrogates.predict_latent_batch(&ids, &queries, block, workers, caches)?;
+    let preds: Vec<Vec<(f64, f64)>> = models
+        .iter()
+        .zip(caches)
+        .map(|(m, cache)| m.predict_latent_batch_cached(&ids, &queries, block, workers, cache))
+        .collect::<gp::Result<_>>()?;
 
     let mut out = Vec::with_capacity(queries.len());
     for q in 0..queries.len() {
@@ -3514,49 +3422,6 @@ mod tests {
     }
 
     #[test]
-    fn sod_path_stays_close_to_exact_path() {
-        let (candidates, truth) = toy(40);
-        let source = shifted_source(&candidates, &truth);
-        let exact = {
-            let mut oracle = VecOracle::new(truth.clone());
-            PpaTuner::new(quick_config())
-                .run(&source, &candidates, &mut oracle)
-                .unwrap()
-        };
-        // Tiny threshold: the subset path is active from the first
-        // iteration, with enough anchors to stay informative.
-        let cfg = PpaTunerConfig {
-            sod_threshold: 10,
-            sod_subset: 48,
-            ..quick_config()
-        };
-        let mut oracle = VecOracle::new(truth.clone());
-        let sink = obs::RecordingSink::new();
-        let sod = PpaTuner::new(cfg)
-            .run_observed(&source, &candidates, &mut oracle, &sink)
-            .unwrap();
-        assert_eq!(sink.count("PredictMode"), sod.iterations);
-        assert!(sink
-            .events()
-            .iter()
-            .any(|e| matches!(e, Event::PredictMode { mode, .. } if mode == "subset")));
-        // The subset posterior's boxes are conservative, not wrong: the
-        // search still lands near the true front.
-        let golden: Vec<Vec<f64>> = pareto::front::pareto_front(&truth)
-            .into_iter()
-            .map(|i| truth[i].clone())
-            .collect();
-        let predicted: Vec<Vec<f64>> = sod
-            .pareto_indices
-            .iter()
-            .map(|&i| truth[i].clone())
-            .collect();
-        let adrs = pareto::metrics::adrs(&golden, &predicted).unwrap();
-        assert!(adrs < 0.25, "adrs {adrs}");
-        assert!(!exact.pareto_indices.is_empty());
-    }
-
-    #[test]
     fn iteration_counts_match_the_emitted_trace() {
         // Satellite regression for the counts-once refactor: rebuild each
         // iteration's counts from RegionSnapshot + same-iteration
@@ -3649,7 +3514,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_sod_config_are_validated() {
+    fn pool_config_is_validated() {
         let bad = |cfg: PpaTunerConfig| {
             let mut oracle = VecOracle::new(vec![vec![1.0, 2.0]; 4]);
             PpaTuner::new(cfg)
@@ -3675,13 +3540,6 @@ mod tests {
                 "pool_max_size",
                 PpaTunerConfig {
                     pool_max_size: 0,
-                    ..quick_config()
-                },
-            ),
-            (
-                "sod_subset",
-                PpaTunerConfig {
-                    sod_subset: 0,
                     ..quick_config()
                 },
             ),

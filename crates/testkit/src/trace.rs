@@ -145,12 +145,10 @@ pub fn run_golden_batch(q: usize, workers: usize) -> GoldenRun {
     }
 }
 
-/// The golden scenario with the adaptive candidate pool and the
-/// subset-of-data predict path both enabled: same reduced Scenario Two
-/// and seed as [`run_golden`], but candidates grow in-loop (cell-tree
-/// refinement) and the posterior switches to subset-of-data once the
-/// training set crosses `sod_threshold`. Because grown candidates have no
-/// row in the offline QoR table, the oracle is a [`FnOracle`] that decodes
+/// The golden scenario with the adaptive candidate pool enabled: same
+/// reduced Scenario Two and seed as [`run_golden`], but candidates grow
+/// in-loop (cell-tree refinement). Because grown candidates have no row
+/// in the offline QoR table, the oracle is a [`FnOracle`] that decodes
 /// joint-encoded points and runs the PD flow directly — the same flow
 /// that generated the table, so original candidates get identical QoR.
 ///
@@ -162,6 +160,20 @@ pub fn run_golden_batch(q: usize, workers: usize) -> GoldenRun {
 /// Panics when scenario construction or the tuning run fails; both are
 /// deterministic, so a panic here is a real regression.
 pub fn run_golden_pool() -> GoldenRun {
+    let defaults = PpaTunerConfig::default();
+    run_golden_pool_with(defaults.predict_workers, defaults.predict_block)
+}
+
+/// [`run_golden_pool`] with explicit predict-sweep settings. The pool
+/// grows while the per-objective predict caches persist across
+/// iterations, so this run drives the cached sweep over appended
+/// candidates; its trace is required to be identical for every
+/// `predict_workers` and `predict_block`.
+///
+/// # Panics
+///
+/// Same conditions as [`run_golden_pool`].
+pub fn run_golden_pool_with(predict_workers: usize, predict_block: usize) -> GoldenRun {
     let scenario = benchgen::Scenario::two_with_counts(9, 120, 100).with_source_budget(60);
     let space = pdsim::ObjectiveSpace::PowerDelay;
     let candidates = scenario.target_candidates();
@@ -178,8 +190,8 @@ pub fn run_golden_pool() -> GoldenRun {
         pool_refine_scale: 0.05,
         pool_max_refines: 4,
         pool_max_size: 160,
-        sod_threshold: 64,
-        sod_subset: 48,
+        predict_workers,
+        predict_block,
         ..Default::default()
     };
     let joint = scenario.joint().clone();

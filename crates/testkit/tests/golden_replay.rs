@@ -8,7 +8,7 @@
 use testkit::invariants::check_trace;
 use testkit::trace::{
     canonical_jsonl, check_or_bless, run_golden, run_golden_batch, run_golden_pool,
-    run_golden_with_threads,
+    run_golden_pool_with, run_golden_with_threads,
 };
 
 #[test]
@@ -64,6 +64,18 @@ fn golden_trace_is_thread_count_invariant() {
         single, multi,
         "thread count changed the golden scenario's trace"
     );
+    // The pool golden appends candidates mid-run while the predict caches
+    // persist, so the cached sweep must stay worker- and block-invariant
+    // over a growing pool too.
+    let default_block = ppatuner::PpaTunerConfig::default().predict_block;
+    let pool = canonical_jsonl(&run_golden_pool_with(1, default_block).events);
+    for (workers, block) in [(4, default_block), (1, 7), (4, 7)] {
+        assert_eq!(
+            pool,
+            canonical_jsonl(&run_golden_pool_with(workers, block).events),
+            "predict_workers {workers}, predict_block {block} changed the pool golden's trace"
+        );
+    }
 }
 
 #[test]
@@ -148,7 +160,7 @@ fn golden_batch_trace_is_worker_count_invariant() {
 #[test]
 fn golden_pool_trace_is_stable() {
     // Pins the adaptive-pool refinement sequence (which leaf splits at
-    // which iteration) and the subset-of-data predict-path switchovers.
+    // which iteration).
     let run = run_golden_pool();
     check_or_bless(
         "scenario_two_seeded_pool.jsonl",
@@ -175,12 +187,6 @@ fn golden_pool_trace_satisfies_invariants() {
         .iter()
         .any(|e| matches!(e, obs::Event::PoolRefine { splits, .. } if *splits > 0));
     assert!(grew, "trace shows no pool growth");
-    // The subset-of-data path activated at least once.
-    let subset = run
-        .events
-        .iter()
-        .any(|e| matches!(e, obs::Event::PredictMode { mode, .. } if mode == "subset"));
-    assert!(subset, "subset predict path never activated");
 }
 
 #[test]
